@@ -9,7 +9,8 @@ The package is layered bottom-up:
 * :mod:`pcmix.sheffer`: linear functionals, operators, Sheffer pairs.
 * :mod:`pcmix.families`: the named polynomial families, read off their
   generating functions.
-* :mod:`pcmix.identities`: one exact verifier per catalogued identity.
+* :mod:`pcmix.identities`: exact verifiers for the catalogued identities,
+  one per identity or first-/second-kind pair.
 * :mod:`pcmix.cli`: the ``pcmix`` command.
 """
 
@@ -51,7 +52,6 @@ from .sheffer import (
     operator_apply,
     recurrence_next,
     sheffer_orthogonality_check,
-    sheffer_polynomial,
     transfer_check,
 )
 from .families import (

@@ -5,8 +5,9 @@ coefficient extraction from the product-form generating function.  The
 Sheffer pairs returned by the ``*_pair`` builders are derived objects used
 for cross-route checks, never the primary definition.
 
-Extracted polynomials are cached per parameter set; the truncation order
-grows geometrically as higher degrees are requested.
+Extracted polynomials are cached per parameter set.  A request for a degree
+n beyond the cached table rebuilds it at truncation order
+max(n + 1, 2 * order, 8), where order is the table's current order.
 """
 
 from __future__ import annotations

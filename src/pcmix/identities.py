@@ -1,9 +1,13 @@
-"""One verifier per catalogued identity, compared by exact polynomial equality.
+"""Verifiers for the catalogued identities, by exact polynomial equality.
 
 Every verifier computes its left side from the family's generating function
 and its right side from scratch: special-number tables, binomial weights,
 rational powers, and point evaluations of family members.  The right side
 never re-runs the extraction that produced the left side.
+
+Most identities come in a first-kind / second-kind pair that differs only in
+the family, sign parities, the shift direction or the factorial basis; such
+a pair shares one verifier whose ``hat`` argument selects the second kind.
 
 The catalogue has two tiers.  Core identities must hold exactly as stated.
 Audit identities are checked twice: once exactly as printed in the source
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, perm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -75,46 +79,25 @@ DEFAULT_GRID = Grid(
 
 
 # -- cached building blocks ---------------------------------------------------
+#
+# ``hat`` is False for the first-kind mixed family and True for the second.
+# Members are looked up through the families module at call time: its
+# extraction tables are their only cache.
+
+
+def _mixed(n: int, k: int, a: Fraction, hat: bool) -> Poly:
+    return (fam.pc_hat_mixed if hat else fam.pc_mixed)(n, k, a)
 
 
 @lru_cache(maxsize=None)
-def _pc(n: int, k: int, a: Fraction) -> Poly:
-    return fam.pc_mixed(n, k, a)
+def _mixed_at(n: int, k: int, a: Fraction, x0: Fraction, hat: bool) -> Fraction:
+    return _mixed(n, k, a, hat)(x0)
 
 
 @lru_cache(maxsize=None)
-def _pch(n: int, k: int, a: Fraction) -> Poly:
-    return fam.pc_hat_mixed(n, k, a)
-
-
-@lru_cache(maxsize=None)
-def _pc_at(n: int, k: int, a: Fraction, x0: Fraction) -> Fraction:
-    return _pc(n, k, a)(x0)
-
-
-@lru_cache(maxsize=None)
-def _pch_at(n: int, k: int, a: Fraction, x0: Fraction) -> Fraction:
-    return _pch(n, k, a)(x0)
-
-
-@lru_cache(maxsize=None)
-def _pc_shifted(n: int, k: int, a: Fraction, c: int) -> Poly:
-    return _pc(n, k, a).shifted(c)
-
-
-@lru_cache(maxsize=None)
-def _pch_shifted(n: int, k: int, a: Fraction, c: int) -> Poly:
-    return _pch(n, k, a).shifted(c)
-
-
-@lru_cache(maxsize=None)
-def _pc1_num(n: int, k: int) -> Fraction:
-    return fam.poly_cauchy_first(n, k)(0)
-
-
-@lru_cache(maxsize=None)
-def _pc2_num(n: int, k: int) -> Fraction:
-    return fam.poly_cauchy_second(n, k)(0)
+def _mixed_shifted(n: int, k: int, a: Fraction, hat: bool) -> Poly:
+    # The argument moves by +1 for the first kind and by -1 for the second.
+    return _mixed(n, k, a, hat).shifted(-1 if hat else 1)
 
 
 @lru_cache(maxsize=None)
@@ -123,14 +106,14 @@ def _charlier_reflected(n: int, a: Fraction) -> Poly:
     return fam.poisson_charlier(n, a).compose(-X)
 
 
-@lru_cache(maxsize=None)
-def _rising_at(m: int, y: Fraction) -> Fraction:
-    return rising_poly(m)(y)
+def _factorial_poly(m: int, hat: bool) -> Poly:
+    # Rising factorials pair with the first kind, falling ones with the second.
+    return (falling_poly if hat else rising_poly)(m)
 
 
 @lru_cache(maxsize=None)
-def _falling_at(m: int, y: Fraction) -> Fraction:
-    return falling_poly(m)(y)
+def _factorial_at(m: int, y: Fraction, hat: bool) -> Fraction:
+    return _factorial_poly(m, hat)(y)
 
 
 @lru_cache(maxsize=None)
@@ -146,16 +129,6 @@ def _frobenius_basis(m: int, s: int, lam: Fraction) -> Poly:
     return Poly(
         [comb(m, j) * frobenius_number(m - j, s, lam) for j in range(m + 1)]
     )
-
-
-@lru_cache(maxsize=None)
-def _exp_op(order: int) -> Series:
-    return exp_series(order)
-
-
-@lru_cache(maxsize=None)
-def _exp_neg_op(order: int) -> Series:
-    return exp_neg_series(order)
 
 
 @lru_cache(maxsize=None)
@@ -179,20 +152,16 @@ def _lif_log_ratio(k: int, order: int) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _mixed_tail_series(k: int, a: Fraction, order: int) -> Series:
-    # exp(-t) * d/dt[Lif_k(log(1+t/a))] * (1+t/a)^(-x): the product-rule
-    # remainder term in the derivative-functional split of the first-kind
-    # mixed generating function.
-    lif_log = lif_series(k, order + 1).compose(log1p_scaled(a, order + 1))
-    return exp_neg_series(order) * lif_log.derivative() * binomial_pow(a, -X, order)
-
-
-@lru_cache(maxsize=None)
-def _mixed_hat_tail_series(k: int, a: Fraction, order: int) -> Series:
-    lif_log = lif_series(k, order + 1).compose(
-        log1p_scaled(a, order + 1) * Fraction(-1)
-    )
-    return exp_neg_series(order) * lif_log.derivative() * binomial_pow(a, X, order)
+def _mixed_tail_series(k: int, a: Fraction, order: int, hat: bool) -> Series:
+    # exp(-t) * d/dt[Lif_k(+-log(1+t/a))] * (1+t/a)^(-+x), upper signs for the
+    # first kind: the product-rule remainder term in the derivative-functional
+    # split of the mixed generating function.
+    log = log1p_scaled(a, order + 1)
+    if hat:
+        log = log * Fraction(-1)
+    lif_log = lif_series(k, order + 1).compose(log)
+    power = binomial_pow(a, X if hat else -X, order)
+    return exp_neg_series(order) * lif_log.derivative() * power
 
 
 def _y_samples(n: int) -> list[Fraction]:
@@ -208,21 +177,25 @@ def _y_samples(n: int) -> list[Fraction]:
 
 
 # -- outcome helpers ----------------------------------------------------------
+#
+# A checker returns the keyword fields of VerificationResult that its outcome
+# sets; verify() adds the identity, n and parameters.  Both sides are kept
+# only on a mismatch.
 
-_Outcome = tuple
 
-
-def _plain(lhs: Poly, rhs: Poly, note: str | None = None) -> _Outcome:
-    equal = lhs == rhs
+def _outcome(equal: bool, lhs: Poly, rhs: Poly, **fields) -> dict:
     if equal:
-        return (True, None, None, note, None, None)
-    return (False, lhs, rhs, note, None, None)
+        return {"equal": True, **fields}
+    return {"equal": False, "lhs": lhs, "rhs": rhs, **fields}
 
 
-def _audited(lhs: Poly, printed: Poly, derived: Poly) -> _Outcome:
+def _plain(lhs: Poly, rhs: Poly, note: str | None = None) -> dict:
+    return _outcome(lhs == rhs, lhs, rhs, note=note)
+
+
+def _audited(lhs: Poly, printed: Poly, derived: Poly) -> dict:
     as_printed = lhs == printed
     derivation = lhs == derived
-    equal = as_printed or derivation
     if as_printed and derivation:
         note = "holds as printed and in derivation form"
     elif derivation:
@@ -231,115 +204,87 @@ def _audited(lhs: Poly, printed: Poly, derived: Poly) -> _Outcome:
         note = "holds as printed; derivation form fails"
     else:
         note = "both forms fail"
-    if equal:
-        return (True, None, None, note, as_printed, derivation)
-    return (False, lhs, derived, note, as_printed, derivation)
+    return _outcome(
+        as_printed or derivation, lhs, derived,
+        note=note, as_printed=as_printed, derivation_form=derivation,
+    )
 
 
 # -- core verifiers -----------------------------------------------------------
 
 
-def _check_t1(n: int, k: int, a: Fraction) -> _Outcome:
+def _check_t1(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Theorem 1; with hat, equation (30).
+    cauchy = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
     rhs = Poly()
     for l in range(n + 1):
         w = Fraction(comb(n, l) * (-1) ** (n - l)) * a ** -l
-        rhs = rhs + fam.poly_cauchy_first(l, k) * w
-    return _plain(_pc(n, k, a), rhs)
+        rhs = rhs + cauchy(l, k) * w
+    return _plain(_mixed(n, k, a, hat), rhs)
 
 
-def _check_p2(n: int, k: int, a: Fraction) -> _Outcome:
+def _check_p2(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Proposition 2; with hat, equation (31) re-indexed by l -> n-l.  The
+    # first kind convolves with the Poisson-Charlier polynomials at -x.
+    cauchy = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
     rhs = Poly()
     for l in range(n + 1):
-        w = comb(n, l) * _pc1_num(n - l, k) * a ** -(n - l)
-        rhs = rhs + _charlier_reflected(l, a) * w
-    return _plain(_pc(n, k, a), rhs)
+        w = comb(n, l) * cauchy(n - l, k)(0) * a ** -(n - l)
+        charlier = fam.poisson_charlier(l, a) if hat else _charlier_reflected(l, a)
+        rhs = rhs + charlier * w
+    return _plain(_mixed(n, k, a, hat), rhs)
 
 
-def _check_e30(n: int, k: int, a: Fraction) -> _Outcome:
-    rhs = Poly()
-    for l in range(n + 1):
-        w = Fraction(comb(n, l) * (-1) ** (n - l)) * a ** -l
-        rhs = rhs + fam.poly_cauchy_second(l, k) * w
-    return _plain(_pch(n, k, a), rhs)
-
-
-def _check_e31(n: int, k: int, a: Fraction) -> _Outcome:
-    rhs = Poly()
-    for l in range(n + 1):
-        w = comb(n, l) * _pc2_num(l, k) * a ** -l
-        rhs = rhs + fam.poisson_charlier(n - l, a) * w
-    return _plain(_pch(n, k, a), rhs)
-
-
-def t3_polynomial(n: int, k: int, a: Rational) -> Poly:
-    """The explicit triple-sum formula for the first-kind mixed polynomial."""
-    a = as_fraction(a)
-    coefs = []
+def _stirling_triple_sum(
+    n: int, k: int, a: Fraction, hat: bool, offset: int
+) -> list[Fraction]:
+    # For each power j: the sum over m >= j and l of
+    # sign * C(n, l) * S1(n-l, m) * a^l * C(m, j) * (m-j+offset)^(-k),
+    # where the sign parity is l+j for the first kind and l+m+j for the second.
+    totals = []
     for j in range(n + 1):
         total = Fraction(0)
         for m in range(j, n + 1):
-            w_m = comb(m, j) * Fraction(m - j + 1) ** -k
+            w_m = comb(m, j) * Fraction(m - j + offset) ** -k
             for l in range(n - m + 1):
                 s1 = stirling1(n - l, m)
                 if s1:
-                    sign = -1 if (l + j) & 1 else 1
+                    parity = (l + m + j) if hat else (l + j)
+                    sign = -1 if parity & 1 else 1
                     total += sign * comb(n, l) * s1 * a ** l * w_m
-        coefs.append(total * a ** -n)
-    return Poly(coefs)
+        totals.append(total)
+    return totals
 
 
-def t3h_polynomial(n: int, k: int, a: Rational) -> Poly:
-    """The explicit triple-sum formula for the second-kind mixed polynomial."""
+def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
+    """The explicit triple-sum formula for the first-kind mixed polynomial,
+    or for the second-kind one when ``hat`` is true."""
     a = as_fraction(a)
-    coefs = []
-    for j in range(n + 1):
-        total = Fraction(0)
-        for m in range(j, n + 1):
-            w_m = comb(m, j) * Fraction(m - j + 1) ** -k
-            for l in range(n - m + 1):
-                s1 = stirling1(n - l, m)
-                if s1:
-                    sign = -1 if (l + m + j) & 1 else 1
-                    total += sign * comb(n, l) * s1 * a ** l * w_m
-        coefs.append(total * a ** -n)
-    return Poly(coefs)
+    return Poly([c * a ** -n for c in _stirling_triple_sum(n, k, a, hat, 1)])
 
 
-def _check_t3(n: int, k: int, a: Fraction) -> _Outcome:
-    return _plain(_pc(n, k, a), t3_polynomial(n, k, a))
+def _check_t3(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Theorem 3; with hat, the remark after it.
+    return _plain(_mixed(n, k, a, hat), t3_polynomial(n, k, a, hat))
 
 
-def _check_t3h(n: int, k: int, a: Fraction) -> _Outcome:
-    return _plain(_pch(n, k, a), t3h_polynomial(n, k, a))
-
-
-def _check_t4(n: int, k: int, a: Fraction) -> _Outcome:
+def _check_t4(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Theorem 4; with hat, equation (41), which has no (-1)^l.
     coefs = []
     for l in range(n + 1):
         total = Fraction(0)
         for r in range(n - l + 1):
             s1 = stirling1(n - r, l)
             if s1:
-                total += comb(n, r) * s1 * a ** -(n - r) * _pc_at(r, k, a, Fraction(0))
-        coefs.append(total if l % 2 == 0 else -total)
-    return _plain(_pc(n, k, a), Poly(coefs))
+                value = _mixed_at(r, k, a, Fraction(0), hat)
+                total += comb(n, r) * s1 * a ** -(n - r) * value
+        coefs.append(-total if l % 2 and not hat else total)
+    return _plain(_mixed(n, k, a, hat), Poly(coefs))
 
 
-def _check_e41(n: int, k: int, a: Fraction) -> _Outcome:
-    coefs = []
-    for l in range(n + 1):
-        total = Fraction(0)
-        for r in range(n - l + 1):
-            s1 = stirling1(n - r, l)
-            if s1:
-                total += comb(n, r) * s1 * a ** -(n - r) * _pch_at(r, k, a, Fraction(0))
-        coefs.append(total)
-    return _plain(_pch(n, k, a), Poly(coefs))
-
-
-def _quadruple_sum(n: int, k: int, a: Fraction, hat: bool) -> Poly:
-    # Shared shape of the order-n Bernoulli-number expansions; the two
-    # variants differ only in the sign pattern and the overall (-1)^n.
+def _check_t5(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Theorem 5; with hat, equation (48).  The order-n Bernoulli expansions
+    # of the two kinds differ only in the sign pattern and the overall (-1)^n.
     coefs = []
     for m in range(n + 1):
         total = Fraction(0)
@@ -366,85 +311,56 @@ def _quadruple_sum(n: int, k: int, a: Fraction, hat: bool) -> Poly:
                     )
         coefs.append(total)
     scale = a ** -n * ((-1) ** n if hat else 1)
-    return Poly([c * scale for c in coefs])
+    return _plain(_mixed(n, k, a, hat), Poly([c * scale for c in coefs]))
 
 
-def _check_t5(n: int, k: int, a: Fraction) -> _Outcome:
-    return _plain(_pc(n, k, a), _quadruple_sum(n, k, a, hat=False))
-
-
-def _check_e48(n: int, k: int, a: Fraction) -> _Outcome:
-    return _plain(_pch(n, k, a), _quadruple_sum(n, k, a, hat=True))
-
-
-def _check_e49(n: int, k: int, a: Fraction) -> _Outcome:
-    members = [_pc(j, k, a) for j in range(n + 1)]
+def _check_e49(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Equation (49) against rising factorials scaled by (-1/a)^(n-j); with
+    # hat, equation (50) against falling factorials scaled by (1/a)^(n-j).
+    members = [_mixed(j, k, a, hat) for j in range(n + 1)]
+    step = Fraction(1 if hat else -1) / a
     for y in _y_samples(n):
         lhs = members[n].compose(Poly((y, 1)))
         rhs = Poly()
         for j in range(n + 1):
-            w = comb(n, j) * (Fraction(-1) / a) ** (n - j) * _rising_at(n - j, y)
+            w = comb(n, j) * step ** (n - j) * _factorial_at(n - j, y, hat)
             if w:
                 rhs = rhs + members[j] * w
         if lhs != rhs:
-            return (False, lhs, rhs, f"first failing sample y = {y}", None, None)
-    return (True, None, None, None, None, None)
+            return _outcome(False, lhs, rhs, note=f"first failing sample y = {y}")
+    return _outcome(True, None, None)
 
 
-def _check_e50(n: int, k: int, a: Fraction) -> _Outcome:
-    members = [_pch(j, k, a) for j in range(n + 1)]
-    for y in _y_samples(n):
-        lhs = members[n].compose(Poly((y, 1)))
-        rhs = Poly()
-        for j in range(n + 1):
-            w = comb(n, j) * a ** -(n - j) * _falling_at(n - j, y)
-            if w:
-                rhs = rhs + members[j] * w
-        if lhs != rhs:
-            return (False, lhs, rhs, f"first failing sample y = {y}", None, None)
-    return (True, None, None, None, None, None)
-
-
-def _check_e51(n: int, k: int, a: Fraction) -> _Outcome:
-    p = _pc(n, k, a)
-    lhs = operator_apply(_exp_neg_op(n + 1), p) - p
-    rhs = _pc(n - 1, k, a) * (Fraction(n) / a)
-    return _plain(lhs, rhs)
-
-
-def _check_e52(n: int, k: int, a: Fraction) -> _Outcome:
-    p = _pch(n, k, a)
-    lhs = operator_apply(_exp_op(n + 1), p) - p
-    rhs = _pch(n - 1, k, a) * (Fraction(n) / a)
-    return _plain(
-        lhs,
-        rhs,
+def _check_e51(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Equation (51) with the backward shift exp(-t); with hat, equation (52)
+    # with the forward shift exp(t).
+    p = _mixed(n, k, a, hat)
+    shift = exp_series(n + 1) if hat else exp_neg_series(n + 1)
+    lhs = operator_apply(shift, p) - p
+    rhs = _mixed(n - 1, k, a, hat) * (Fraction(n) / a)
+    note = (
         "checked with both difference terms in the second-kind family; the "
-        "printed statement drops a hat on the subtracted term",
+        "printed statement drops a hat on the subtracted term"
     )
+    return _plain(lhs, rhs, note if hat else None)
 
 
-def _check_e68(n: int, k: int, a: Fraction) -> _Outcome:
-    lhs = _pc(n, k, a).derivative()
+def _check_e68(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Equation (68); with hat, equation (69), whose weights carry one more
+    # factor of -1.
+    lhs = _mixed(n, k, a, hat).derivative()
     rhs = Poly()
     lead = Fraction(factorial(n) * (-1) ** n)
     for l in range(n):
-        w = lead * Fraction((-1) ** l, (n - l) * factorial(l)) * a ** -(n - l)
-        rhs = rhs + _pc(l, k, a) * w
+        w = lead * Fraction((-1) ** (l + hat), (n - l) * factorial(l)) * a ** -(n - l)
+        rhs = rhs + _mixed(l, k, a, hat) * w
     return _plain(lhs, rhs)
 
 
-def _check_e69(n: int, k: int, a: Fraction) -> _Outcome:
-    lhs = _pch(n, k, a).derivative()
-    rhs = Poly()
-    lead = Fraction(factorial(n) * (-1) ** n)
-    for l in range(n):
-        w = lead * Fraction((-1) ** (l + 1), (n - l) * factorial(l)) * a ** -(n - l)
-        rhs = rhs + _pch(l, k, a) * w
-    return _plain(lhs, rhs)
-
-
-def _check_t8(n: int, k: int, a: Fraction, s: int) -> _Outcome:
+def _check_t8(n: int, k: int, a: Fraction, s: int, *, hat: bool) -> dict:
+    # Theorem 8 with first-kind Cauchy numbers; with hat, equation (74) with
+    # second-kind ones and no (-1)^m.
+    cauchy = cauchy_second if hat else cauchy_first
     rhs = Poly()
     for m in range(n + 1):
         total = Fraction(0)
@@ -458,39 +374,17 @@ def _check_t8(n: int, k: int, a: Fraction, s: int) -> _Outcome:
                     w_l
                     * comb(l, i)
                     * a ** -(n - l + i)
-                    * cauchy_first(i, s)
-                    * _pc_at(l - i, k, a, Fraction(s))
+                    * cauchy(i, s)
+                    * _mixed_at(l - i, k, a, Fraction(s), hat)
                 )
-        if m % 2:
+        if m % 2 and not hat:
             total = -total
         if total:
             rhs = rhs + _bernoulli_basis(m, s) * total
-    return _plain(_pc(n, k, a), rhs)
+    return _plain(_mixed(n, k, a, hat), rhs)
 
 
-def _check_e74(n: int, k: int, a: Fraction, s: int) -> _Outcome:
-    rhs = Poly()
-    for m in range(n + 1):
-        total = Fraction(0)
-        for l in range(n - m + 1):
-            s1 = stirling1(n - l, m)
-            if not s1:
-                continue
-            w_l = comb(n, l) * s1
-            for i in range(l + 1):
-                total += (
-                    w_l
-                    * comb(l, i)
-                    * a ** -(n - l + i)
-                    * cauchy_second(i, s)
-                    * _pch_at(l - i, k, a, Fraction(s))
-                )
-        if total:
-            rhs = rhs + _bernoulli_basis(m, s) * total
-    return _plain(_pch(n, k, a), rhs)
-
-
-def _check_t9(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> _Outcome:
+def _check_t9(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
     # The printed statement's binomial weight comb(l, i) disagrees with the
     # identity's own derivation, which carries comb(s, i); the derivation
     # form is the one that holds and is what this verifier implements.
@@ -511,16 +405,16 @@ def _check_t9(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> _Outcome:
                     * a ** -(n - l + i)
                     * (1 - lam) ** (s - i)
                     * (-lam) ** i
-                    * _pc_at(l - i, k, a, Fraction(s))
+                    * _mixed_at(l - i, k, a, Fraction(s), False)
                 )
         if m % 2:
             total = -total
         if total:
             rhs = rhs + _frobenius_basis(m, s, lam) * (total * scale)
-    return _plain(_pc(n, k, a), rhs)
+    return _plain(_mixed(n, k, a, False), rhs)
 
 
-def _check_e77(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> _Outcome:
+def _check_e77(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
     scale = (1 - lam) ** -s
     rhs = Poly()
     for m in range(n + 1):
@@ -535,198 +429,136 @@ def _check_e77(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> _Outcome:
                     w_l
                     * comb(s, i)
                     * (-lam) ** (s - i)
-                    * _pch_at(l, k, a, Fraction(i))
+                    * _mixed_at(l, k, a, Fraction(i), True)
                 )
         if total:
             rhs = rhs + _frobenius_basis(m, s, lam) * (total * scale)
-    return _plain(_pch(n, k, a), rhs)
+    return _plain(_mixed(n, k, a, True), rhs)
 
 
-def _check_t10(n: int, k: int, a: Fraction) -> _Outcome:
+def _check_t10(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Theorem 10 over rising factorials; with hat, the remark after it, over
+    # falling factorials.
+    base = a if hat else -a
     rhs = Poly()
     for m in range(n + 1):
-        w = comb(n, m) * (-a) ** -m * _pc_at(n - m, k, a, Fraction(0))
+        w = comb(n, m) * base ** -m * _mixed_at(n - m, k, a, Fraction(0), hat)
         if w:
-            rhs = rhs + rising_poly(m) * w
-    return _plain(_pc(n, k, a), rhs)
-
-
-def _check_t10h(n: int, k: int, a: Fraction) -> _Outcome:
-    rhs = Poly()
-    for m in range(n + 1):
-        w = comb(n, m) * a ** -m * _pch_at(n - m, k, a, Fraction(0))
-        if w:
-            rhs = rhs + falling_poly(m) * w
-    return _plain(_pch(n, k, a), rhs)
+            rhs = rhs + _factorial_poly(m, hat) * w
+    return _plain(_mixed(n, k, a, hat), rhs)
 
 
 # -- audit verifiers ----------------------------------------------------------
 
 
-def _recurrence_tail_sum(n: int, k: int, a: Fraction, hat: bool) -> Poly:
-    # The printed closing sum of the one-step recurrences: a triple sum in
-    # the (x+1) or (x-1) power basis with the Lif index shifted by one.
+def _recurrence_head(n: int, k: int, a: Fraction, hat: bool) -> Poly:
+    # -P_{n-1}(x) -+ (x/a) P_{n-1}(x+-1), upper signs for the first kind: the
+    # head shared by the recurrences (54)-(55), T6 and equations (60)-(62).
+    sign = -1 if hat else 1
+    shifted = _mixed_shifted(n - 1, k, a, hat)
+    return -_mixed(n - 1, k, a, hat) - X * shifted * (Fraction(sign) / a)
+
+
+def _check_e54(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Equation (54); with hat, equation (55).  The printed closing sum is a
+    # triple sum in the (x+1) or (x-1) power basis with the Lif index
+    # shifted by one.
+    sign = -1 if hat else 1
+    head = _recurrence_head(n + 1, k, a, hat)
     tail = Poly()
-    center = 1 if not hat else -1
-    for j in range(n + 1):
-        total = Fraction(0)
-        for m in range(j, n + 1):
-            w_m = comb(m, j) * Fraction(m - j + 2) ** -k
-            for l in range(n - m + 1):
-                s1 = stirling1(n - l, m)
-                if s1:
-                    parity = (l + m + j) if hat else (l + j)
-                    sign = -1 if parity & 1 else 1
-                    total += sign * comb(n, l) * s1 * a ** l * w_m
+    for j, total in enumerate(_stirling_triple_sum(n, k, a, hat, 2)):
         if total:
-            tail = tail + _shift_power(center, j) * (total * a ** -(n + 1))
-    return tail if not hat else -tail
+            tail = tail + _shift_power(sign, j) * (total * a ** -(n + 1))
+    printed = head - tail if hat else head + tail
+    ratio = _lif_log_ratio(k, _series_order(n))
+    split = operator_apply(ratio, _mixed_shifted(n, k, a, hat))
+    derived = head + split * (Fraction(sign) / a)
+    return _audited(_mixed(n + 1, k, a, hat), printed, derived)
 
 
-def _check_e54(n: int, k: int, a: Fraction) -> _Outcome:
-    lhs = _pc(n + 1, k, a)
-    shifted = _pc_shifted(n, k, a, 1)
-    head = X * shifted * (Fraction(-1) / a) - _pc(n, k, a)
-    printed = head + _recurrence_tail_sum(n, k, a, hat=False)
-    order = _series_order(n)
-    derived = head + operator_apply(_lif_log_ratio(k, order), shifted) * (1 / a)
-    return _audited(lhs, printed, derived)
-
-
-def _check_e55(n: int, k: int, a: Fraction) -> _Outcome:
-    lhs = _pch(n + 1, k, a)
-    shifted = _pch_shifted(n, k, a, -1)
-    head = X * shifted * (Fraction(1) / a) - _pch(n, k, a)
-    printed = head + _recurrence_tail_sum(n, k, a, hat=True)
-    order = _series_order(n)
-    derived = head - operator_apply(_lif_log_ratio(k, order), shifted) * (1 / a)
-    return _audited(lhs, printed, derived)
-
-
-def _check_t6(n: int, k: int, a: Fraction) -> _Outcome:
-    lhs = _pc(n, k, a)
-    head = -_pc(n - 1, k, a) - X * _pc_shifted(n - 1, k, a, 1) * (1 / a)
+def _check_t6(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Theorem 6; with hat, equation (61).
+    head = _recurrence_head(n, k, a, hat)
     tail = Poly()
     for l in range(n):
         w = comb(n, l) * cauchy_second(l, 1) * a ** -l
         if w:
-            tail = tail + (_pc(n - l, k - 1, a) - _pc(n - l, k, a)) * w
+            tail = tail + (_mixed(n - l, k - 1, a, hat) - _mixed(n - l, k, a, hat)) * w
     printed = head + tail * Fraction(1, n)
-    order = _series_order(n)
-    derived = head + _mixed_tail_series(k, a, order).egf_coefficient(n - 1)
-    return _audited(lhs, printed, derived)
+    remainder = _mixed_tail_series(k, a, _series_order(n), hat)
+    derived = head + remainder.egf_coefficient(n - 1)
+    return _audited(_mixed(n, k, a, hat), printed, derived)
 
 
-def _check_e60(n: int, k: int, a: Fraction) -> _Outcome:
-    lhs = _pc(n, k, a)
-    head = -_pc(n - 1, k, a) - X * _pc_shifted(n - 1, k, a, 1) * (1 / a)
+def _check_e60(n: int, k: int, a: Fraction) -> dict:
+    head = _recurrence_head(n, k, a, False)
     tail = Poly()
     for l in range(n):
         w = comb(n, l) * cauchy_first(l, 1) * a ** -l
         if w:
             tail = tail + (
-                _pc_shifted(n - l, k - 1, a, 1) - _pc_shifted(n - l, k, a, 1)
+                _mixed_shifted(n - l, k - 1, a, False) - _mixed_shifted(n - l, k, a, False)
             ) * w
     printed = head + tail * Fraction(1, n)
-    order = _series_order(n)
-    derived = head + _mixed_tail_series(k, a, order).egf_coefficient(n - 1)
-    return _audited(lhs, printed, derived)
+    remainder = _mixed_tail_series(k, a, _series_order(n), False)
+    derived = head + remainder.egf_coefficient(n - 1)
+    return _audited(_mixed(n, k, a, False), printed, derived)
 
 
-def _check_e61(n: int, k: int, a: Fraction) -> _Outcome:
-    lhs = _pch(n, k, a)
-    head = -_pch(n - 1, k, a) + X * _pch_shifted(n - 1, k, a, -1) * (1 / a)
-    tail = Poly()
-    for l in range(n):
-        w = comb(n, l) * cauchy_second(l, 1) * a ** -l
-        if w:
-            tail = tail + (_pch(n - l, k - 1, a) - _pch(n - l, k, a)) * w
-    printed = head + tail * Fraction(1, n)
-    order = _series_order(n)
-    derived = head + _mixed_hat_tail_series(k, a, order).egf_coefficient(n - 1)
-    return _audited(lhs, printed, derived)
-
-
-def _check_e62(n: int, k: int, a: Fraction) -> _Outcome:
+def _check_e62(n: int, k: int, a: Fraction) -> dict:
     # As printed, the first difference term carries the fixed index n-1
     # where the parallel first-kind statement has n-l; the derivation form
     # restores n-l.
-    lhs = _pch(n, k, a)
-    head = -_pch(n - 1, k, a) + X * _pch_shifted(n - 1, k, a, -1) * (1 / a)
+    head = _recurrence_head(n, k, a, True)
     printed_tail = Poly()
     derived_tail = Poly()
     for l in range(n):
         w = comb(n, l) * cauchy_first(l, 1) * a ** -l
         if not w:
             continue
-        printed_tail = printed_tail + (
-            _pch_shifted(n - 1, k - 1, a, -1) - _pch_shifted(n - l, k, a, -1)
-        ) * w
-        derived_tail = derived_tail + (
-            _pch_shifted(n - l, k - 1, a, -1) - _pch_shifted(n - l, k, a, -1)
-        ) * w
+        lower = _mixed_shifted(n - l, k, a, True)
+        printed_tail = printed_tail + (_mixed_shifted(n - 1, k - 1, a, True) - lower) * w
+        derived_tail = derived_tail + (_mixed_shifted(n - l, k - 1, a, True) - lower) * w
     printed = head + printed_tail * Fraction(1, n)
     derived = head + derived_tail * Fraction(1, n)
-    return _audited(lhs, printed, derived)
+    return _audited(_mixed(n, k, a, True), printed, derived)
 
 
-def _functional_two_route(
-    n: int, m: int, k: int, a: Fraction, hat: bool
-) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-    # Values feeding the two evaluations of
-    # < exp(-t) Lif_k(sgn log(1+t/a)) (log(1+t/a))^m | x^n >.
-    value_at = _pch_at if hat else _pc_at
+def _check_t7(n: int, m: int, k: int, a: Fraction, *, hat: bool) -> dict:
+    # Two evaluations of < exp(-t) Lif_k(sgn log(1+t/a)) (log(1+t/a))^m | x^n >:
+    # the theorem after equation (66) for the second kind, equation (67) for
+    # the first.
     edge = Fraction(-1) if hat else Fraction(1)
-    fm = factorial(m)
-    direct = Fraction(0)
-    for l in range(n - m + 1):
-        s1 = stirling1(n - l, m)
-        if s1:
-            direct += fm * a ** -(n - l) * comb(n, l) * s1 * value_at(l, k, a, Fraction(0))
-    lowered = Fraction(0)
-    for l in range(n - m):
-        s1 = stirling1(n - 1 - l, m)
-        if s1:
-            lowered += (
-                fm * a ** -(n - l - 1) * comb(n - 1, l) * s1 * value_at(l, k, a, Fraction(0))
-            )
-    def edge_sum(kk: int) -> Fraction:
+
+    def moment(q: int, j: int, kk: int, x0: Fraction) -> Fraction:
+        # sum_l j! a^(l-q) C(q, l) S1(q-l, j) P_l^(kk)(x0)
         total = Fraction(0)
-        for l in range(n - m + 1):
-            s1 = stirling1(n - l - 1, m - 1)
+        for l in range(q - j + 1):
+            s1 = stirling1(q - l, j)
             if s1:
-                total += fm * a ** -(n - l) * comb(n - 1, l) * s1 * value_at(l, kk, a, edge)
-        return total
-    return direct, lowered, edge_sum(k), edge_sum(k - 1), fm
+                total += a ** -(q - l) * comb(q, l) * s1 * _mixed_at(l, kk, a, x0, hat)
+        return factorial(j) * total
 
-
-def _check_t7(n: int, m: int, k: int, a: Fraction) -> _Outcome:
-    direct, lowered, edge_k, edge_km1, fm = _functional_two_route(n, m, k, a, hat=True)
+    direct = moment(n, m, k, Fraction(0))
+    lowered = moment(n - 1, m, k, Fraction(0))
+    # The edge terms weigh the (m-1)-th moment by m!/a in place of (m-1)!.
+    edge_k = moment(n - 1, m - 1, k, edge) * m / a
+    edge_km1 = moment(n - 1, m - 1, k - 1, edge) * m / a
     chained = -lowered + Fraction(m - 1, m) * edge_k + Fraction(1, m) * edge_km1
     derivation = direct == chained
-    # The printed final statement repeats superscript k in the 1/m term
-    # where the derivation chain has k-1.
-    as_printed = direct + lowered == edge_k
-    equal = derivation or as_printed
-    note = (
-        "two-route functional value; the chained evaluation is authoritative"
-        + ("" if as_printed else "; printed closing statement fails")
-    )
-    if equal:
-        return (True, None, None, note, as_printed, derivation)
-    return (False, Poly((direct,)), Poly((chained,)), note, as_printed, derivation)
-
-
-def _check_e67(n: int, m: int, k: int, a: Fraction) -> _Outcome:
-    direct, lowered, edge_k, edge_km1, fm = _functional_two_route(n, m, k, a, hat=False)
-    chained = -lowered + Fraction(m - 1, m) * edge_k + Fraction(1, m) * edge_km1
-    derivation = direct == chained
-    as_printed = direct + lowered == Fraction(m - 1, m) * edge_k + Fraction(1, m) * edge_km1
-    equal = derivation or as_printed
+    # For the second kind the printed final statement repeats superscript k
+    # in the 1/m term where the derivation chain has k-1.
+    printed = Fraction(m - 1, m) * edge_k + Fraction(1, m) * (edge_k if hat else edge_km1)
+    as_printed = direct + lowered == printed
     note = "two-route functional value"
-    if equal:
-        return (True, None, None, note, as_printed, derivation)
-    return (False, Poly((direct,)), Poly((chained,)), note, as_printed, derivation)
+    if hat:
+        note += "; the chained evaluation is authoritative" + (
+            "" if as_printed else "; printed closing statement fails"
+        )
+    return _outcome(
+        derivation or as_printed, Poly((direct,)), Poly((chained,)),
+        note=note, as_printed=as_printed, derivation_form=derivation,
+    )
 
 
 # -- catalogue ----------------------------------------------------------------
@@ -746,10 +578,6 @@ class IdentityInfo:
     checker: Callable = field(repr=False)
 
 
-def _info(identity, tier, axes, n_min, location, statement, strategy, checker):
-    return IdentityInfo(identity, tier, axes, n_min, location, statement, strategy, checker)
-
-
 _SUM_STRATEGY = (
     "left side by generating-function extraction; right side assembled from "
     "special-number tables, binomial weights and rational powers"
@@ -758,125 +586,125 @@ _SUM_STRATEGY = (
 CATALOGUE: dict[str, IdentityInfo] = {
     info.identity: info
     for info in (
-        _info(
+        IdentityInfo(
             "T1", "core", ("k", "a"), 0, "Theorem 1",
             "first-kind mixed polynomials expanded over poly-Cauchy "
             "polynomials of the first kind",
-            _SUM_STRATEGY, _check_t1,
+            _SUM_STRATEGY, partial(_check_t1, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "P2", "core", ("k", "a"), 0, "Proposition 2",
             "first-kind mixed polynomials as a convolution of poly-Cauchy "
             "numbers with Poisson-Charlier polynomials at -x",
-            _SUM_STRATEGY, _check_p2,
+            _SUM_STRATEGY, partial(_check_p2, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E30", "core", ("k", "a"), 0, "equation (30)",
             "second-kind mixed polynomials expanded over poly-Cauchy "
             "polynomials of the second kind",
-            _SUM_STRATEGY, _check_e30,
+            _SUM_STRATEGY, partial(_check_t1, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "E31", "core", ("k", "a"), 0, "equation (31)",
             "second-kind mixed polynomials as a convolution of second-kind "
             "poly-Cauchy numbers with Poisson-Charlier polynomials",
-            _SUM_STRATEGY, _check_e31,
+            _SUM_STRATEGY, partial(_check_p2, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "T3", "core", ("k", "a"), 0, "Theorem 3",
             "explicit coefficient formula for the first-kind mixed "
             "polynomials via signed Stirling numbers",
             _SUM_STRATEGY + "; doubles as an independent construction route",
-            _check_t3,
+            partial(_check_t3, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "T3H", "core", ("k", "a"), 0, "remark after Theorem 3",
             "explicit coefficient formula for the second-kind mixed polynomials",
             _SUM_STRATEGY + "; doubles as an independent construction route",
-            _check_t3h,
+            partial(_check_t3, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "T4", "core", ("k", "a"), 0, "Theorem 4",
             "coefficients of the first-kind mixed polynomials from their "
             "values at zero and Stirling numbers",
-            _SUM_STRATEGY, _check_t4,
+            _SUM_STRATEGY, partial(_check_t4, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E41", "core", ("k", "a"), 0, "equation (41)",
             "coefficients of the second-kind mixed polynomials from their "
             "values at zero and Stirling numbers",
-            _SUM_STRATEGY, _check_e41,
+            _SUM_STRATEGY, partial(_check_t4, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "T5", "core", ("k", "a"), 1, "Theorem 5",
             "first-kind mixed polynomials via order-n Bernoulli numbers and "
             "second-kind Stirling numbers",
-            _SUM_STRATEGY, _check_t5,
+            _SUM_STRATEGY, partial(_check_t5, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E48", "core", ("k", "a"), 1, "equation (48)",
             "second-kind mixed polynomials via order-n Bernoulli numbers and "
             "second-kind Stirling numbers",
-            _SUM_STRATEGY, _check_e48,
+            _SUM_STRATEGY, partial(_check_t5, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "E49", "core", ("k", "a"), 0, "equation (49)",
             "argument-addition rule against scaled rising factorials",
             "two-variable identity; the shift variable is sampled over "
             "max(5, n+1) fixed rational points, enough to pin a degree-n "
             "polynomial identity exactly",
-            _check_e49,
+            partial(_check_e49, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E50", "core", ("k", "a"), 0, "equation (50)",
             "argument-addition rule against scaled falling factorials",
             "two-variable identity; same exact sampling scheme as E49",
-            _check_e50,
+            partial(_check_e49, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "E51", "core", ("k", "a"), 1, "equation (51)",
             "unit backward shift lowers the first-kind mixed polynomials",
             "left side assembled with the shift operator exp(-t); right side "
             "a scaled lower-degree member",
-            _check_e51,
+            partial(_check_e51, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E52", "core", ("k", "a"), 1, "equation (52)",
             "unit forward shift lowers the second-kind mixed polynomials",
             "left side assembled with the shift operator exp(t); the printed "
             "statement drops a hat on the subtracted term, checked in the "
             "consistent all-second-kind form",
-            _check_e52,
+            partial(_check_e51, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "E68", "core", ("k", "a"), 1, "equation (68)",
             "x-derivative of the first-kind mixed polynomials as a weighted "
             "sum of lower members",
             "formal polynomial derivative against the stated sum",
-            _check_e68,
+            partial(_check_e68, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E69", "core", ("k", "a"), 1, "equation (69)",
             "x-derivative of the second-kind mixed polynomials as a weighted "
             "sum of lower members",
             "formal polynomial derivative against the stated sum",
-            _check_e69,
+            partial(_check_e68, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "T8", "core", ("k", "a", "s"), 0, "Theorem 8",
             "first-kind mixed polynomials expanded over order-s Bernoulli "
             "polynomials with first-kind Cauchy number weights",
             _SUM_STRATEGY + "; the Bernoulli basis is rebuilt from the "
             "number table via the binomial (Appell) expansion",
-            _check_t8,
+            partial(_check_t8, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E74", "core", ("k", "a", "s"), 0, "equation (74)",
             "second-kind mixed polynomials expanded over order-s Bernoulli "
             "polynomials with second-kind Cauchy number weights",
-            _SUM_STRATEGY, _check_e74,
+            _SUM_STRATEGY, partial(_check_t8, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "T9", "core", ("k", "a", "s", "lam"), 0, "Theorem 9",
             "first-kind mixed polynomials expanded over order-s "
             "Frobenius-Euler polynomials",
@@ -884,69 +712,69 @@ CATALOGUE: dict[str, IdentityInfo] = {
             "comb(s, i), which the printed statement misprints as comb(l, i)",
             _check_t9,
         ),
-        _info(
+        IdentityInfo(
             "E77", "core", ("k", "a", "s", "lam"), 0, "equation (77)",
             "second-kind mixed polynomials expanded over order-s "
             "Frobenius-Euler polynomials",
             _SUM_STRATEGY, _check_e77,
         ),
-        _info(
+        IdentityInfo(
             "T10", "core", ("k", "a"), 0, "Theorem 10",
             "first-kind mixed polynomials expanded over rising factorials",
             _SUM_STRATEGY + "; cross-checkable against connection "
             "coefficients with the rising-factorial pair",
-            _check_t10,
+            partial(_check_t10, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "T10H", "core", ("k", "a"), 0, "remark after Theorem 10",
             "second-kind mixed polynomials expanded over falling factorials",
-            _SUM_STRATEGY, _check_t10h,
+            _SUM_STRATEGY, partial(_check_t10, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "E54", "audit", ("k", "a"), 1, "equation (54)",
             "one-step recurrence for the first-kind mixed polynomials",
             "printed closing sum checked as stated; derivation form applies "
             "the logarithmic-derivative operator split of the recurrence",
-            _check_e54,
+            partial(_check_e54, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E55", "audit", ("k", "a"), 1, "equation (55)",
             "one-step recurrence for the second-kind mixed polynomials",
             "printed closing sum checked as stated; derivation form applies "
             "the logarithmic-derivative operator split of the recurrence",
-            _check_e55,
+            partial(_check_e54, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "T6", "audit", ("k", "a"), 1, "Theorem 6",
             "first-kind mixed polynomials via second-kind Cauchy numbers and "
             "a Lif-index shift",
             "printed sum checked as stated; derivation form recomputes the "
             "remainder term directly from the derivative of the generating "
             "function",
-            _check_t6,
+            partial(_check_t6, hat=False),
         ),
-        _info(
+        IdentityInfo(
             "E60", "audit", ("k", "a"), 1, "equation (60)",
             "variant of T6 with first-kind Cauchy numbers and shifted "
             "arguments",
             "same derivation-form remainder as T6",
             _check_e60,
         ),
-        _info(
+        IdentityInfo(
             "E61", "audit", ("k", "a"), 1, "equation (61)",
             "second-kind analogue of T6",
             "printed sum checked as stated; derivation form recomputes the "
             "remainder from the derivative of the generating function",
-            _check_e61,
+            partial(_check_t6, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "E62", "audit", ("k", "a"), 1, "equation (62)",
             "second-kind analogue of E60",
             "as printed the first difference term has fixed index n-1; the "
             "derivation form restores the running index n-l",
             _check_e62,
         ),
-        _info(
+        IdentityInfo(
             "T7", "audit", ("m", "k", "a"), 1,
             "theorem following equation (66)",
             "two evaluations of one functional against powers of log(1+t/a), "
@@ -955,14 +783,14 @@ CATALOGUE: dict[str, IdentityInfo] = {
             "authoritative; the printed closing statement repeats "
             "superscript k where the chain has k-1 and is reported as "
             "printed",
-            _check_t7,
+            partial(_check_t7, hat=True),
         ),
-        _info(
+        IdentityInfo(
             "E67", "audit", ("m", "k", "a"), 1, "equation (67)",
             "first-kind analogue of T7",
             "chained evaluation against the printed statement; both agree "
             "here",
-            _check_e67,
+            partial(_check_t7, hat=False),
         ),
     )
 }
@@ -1020,11 +848,8 @@ def verify(identity: str, n: int, params: Mapping | None = None, **kwargs) -> Ve
     if n < info.n_min:
         raise ParameterError(f"{identity} needs n >= {info.n_min}, got {n}")
     canonical = _canonical_params(info, n, merged)
-    outcome = info.checker(n, **canonical)
-    equal, lhs, rhs, note, as_printed, derivation = outcome
-    return VerificationResult(
-        identity, n, canonical, equal, lhs, rhs, note, as_printed, derivation
-    )
+    fields = info.checker(n, **canonical)
+    return VerificationResult(identity, n, canonical, **fields)
 
 
 def _result_key(result: VerificationResult):

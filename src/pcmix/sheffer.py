@@ -132,11 +132,6 @@ class ShefferPair:
         return f"ShefferPair({self.label}, order={self.order})"
 
 
-def sheffer_polynomial(pair: ShefferPair, n: int) -> Poly:
-    """Sequence member of degree n for the pair."""
-    return pair.polynomial(n)
-
-
 def sheffer_orthogonality_check(pair: ShefferPair, n_max: int) -> bool:
     """True iff <g * f^k | s_n> equals n! * delta(n, k) for all n, k <= n_max."""
     if n_max >= pair.order:

@@ -36,19 +36,25 @@ class StirlingTable:
     def value(self, n: int, k: int) -> int:
         if n < 0 or k < 0 or k > n:
             raise ValueError(f"Stirling numbers need 0 <= k <= n, got ({n}, {k})")
-        while len(self.rows) <= n:
-            m = len(self.rows) - 1
-            prev = self.rows[-1]
-            row = [0] * (m + 2)
-            for j in range(m + 2):
-                lower = prev[j - 1] if 1 <= j <= m + 1 else 0
-                same = prev[j] if j <= m else 0
-                if self.kind == "first":
-                    row[j] = lower - m * same
-                else:
-                    row[j] = lower + j * same
-            self.rows.append(row)
-        return self.rows[n][k]
+        rows = self.rows
+        if len(rows) <= n:
+            # Grow a private copy and publish it with one assignment, so a
+            # concurrent reader never sees a half-built row.
+            rows = list(rows)
+            while len(rows) <= n:
+                m = len(rows) - 1
+                prev = rows[-1]
+                row = [0] * (m + 2)
+                for j in range(m + 2):
+                    lower = prev[j - 1] if 1 <= j <= m + 1 else 0
+                    same = prev[j] if j <= m else 0
+                    if self.kind == "first":
+                        row[j] = lower - m * same
+                    else:
+                        row[j] = lower + j * same
+                rows.append(row)
+            self.rows = rows
+        return rows[n][k]
 
 
 _S1_TABLE = StirlingTable("first")
@@ -89,27 +95,36 @@ def rising_poly(n: int) -> Poly:
 
 # -- convolution powers of ordinary coefficient sequences -------------------
 
-_POWER_CACHE: dict[tuple, list[list[Fraction]]] = {}
+_POWER_CACHE: dict[tuple, tuple[tuple[Fraction, ...], ...]] = {}
 
 
 def _convolution_power(key: tuple, base: Callable[[int], Fraction], r: int, n: int) -> Fraction:
-    """Ordinary coefficient n of the r-th convolution power of ``base``."""
-    powers = _POWER_CACHE.setdefault(key, [[Fraction(1)]])
-    while len(powers) <= r:
-        powers.append([])
-    for rank in range(len(powers)):
-        row = powers[rank]
-        while len(row) <= n:
-            m = len(row)
+    """Ordinary coefficient n of the r-th convolution power of ``base``.
+
+    Row r of the table under ``key`` holds the r-th power; row 1 is ``base``
+    itself, so each base value is computed once.  All rows have one length.
+    A larger table is built privately and published with one assignment, so
+    concurrent callers never see a half-grown row.
+    """
+    powers = _POWER_CACHE.get(key)
+    if powers is not None and len(powers) > r and len(powers[0]) > n:
+        return powers[r][n]
+    rows = [list(row) for row in powers] if powers else [[], []]
+    rows += [[] for _ in range(r + 1 - len(rows))]
+    size = max(n + 1, len(rows[0]))
+    for rank, row in enumerate(rows):
+        for m in range(len(row), size):
             if rank == 0:
                 row.append(Fraction(1) if m == 0 else Fraction(0))
+            elif rank == 1:
+                row.append(base(m))
             else:
-                prev = powers[rank - 1]
-                row.append(sum((prev[i] * base(m - i) for i in range(m + 1)), Fraction(0)))
-    return powers[r][n]
+                prev, first = rows[rank - 1], rows[1]
+                row.append(sum((prev[i] * first[m - i] for i in range(m + 1)), Fraction(0)))
+    _POWER_CACHE[key] = tuple(tuple(row) for row in rows)
+    return rows[r][n]
 
 
-@lru_cache(maxsize=None)
 def _cauchy_first_base(n: int) -> Fraction:
     # [t^n] t/log(1+t) via the integral of the binomial series:
     # (1/n!) * sum_l S1(n, l) / (l + 1).
@@ -117,7 +132,6 @@ def _cauchy_first_base(n: int) -> Fraction:
     return total / factorial(n)
 
 
-@lru_cache(maxsize=None)
 def _cauchy_second_base(n: int) -> Fraction:
     # [t^n] t/((1+t)log(1+t)): same integral shifted by one,
     # (1/n!) * sum_l S1(n, l) * (-1)^l / (l + 1).
@@ -127,7 +141,6 @@ def _cauchy_second_base(n: int) -> Fraction:
     return total / factorial(n)
 
 
-@lru_cache(maxsize=None)
 def _bernoulli_base(n: int) -> Fraction:
     # [t^n] t/(exp(t)-1): Bernoulli number over n!, with the Worpitzky-style
     # closed form B_n = sum_l (-1)^l l! S2(n, l) / (l + 1).
@@ -193,11 +206,3 @@ def lif_series(k: int, order: int) -> Series:
         Fraction(1, factorial(n)) * Fraction(n + 1) ** -k for n in range(order)
     ]
     return Series(coeffs, order)
-
-
-@lru_cache(maxsize=None)
-def lif_coefficient(n: int, k: int) -> Fraction:
-    """Ordinary t^n coefficient of the Lif series."""
-    if n < 0:
-        raise ValueError("coefficient index must be >= 0")
-    return Fraction(1, factorial(n)) * Fraction(n + 1) ** -k

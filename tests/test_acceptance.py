@@ -26,7 +26,6 @@ from pcmix.identities import (
     DEFAULT_GRID,
     summarize,
     t3_polynomial,
-    t3h_polynomial,
     verify_grid,
 )
 from pcmix.poly import Poly, X
@@ -105,7 +104,7 @@ def test_criterion_3_route_equivalence():
                 assert t3_polynomial(n, k, a) == gf, (n, k, a)
                 hat_gf = pc_hat_mixed(n, k, a)
                 assert hat_pair.polynomial(n) == hat_gf, (n, k, a)
-                assert t3h_polynomial(n, k, a) == hat_gf, (n, k, a)
+                assert t3_polynomial(n, k, a, hat=True) == hat_gf, (n, k, a)
                 checked += 1
     _report(
         "criterion 3 (route equivalence)",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -161,6 +162,15 @@ def test_verify_output_is_byte_deterministic():
     second = run_cli(*args)
     assert first.exit_code == second.exit_code == 0
     assert first.output.encode() == second.output.encode()
+
+
+def test_verify_all_output_bytes_are_pinned():
+    # Refactors of the verifiers must not change a note, a status or the
+    # result order; the digest pins the whole report byte for byte.
+    result = run_cli("verify", "--ids", "all", "--n-max", "3", "--format", "json")
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == "128024219284c8e41389e834d66d4c55f15e394c5a53fd747986d21715723816"
 
 
 def test_describe_known_and_unknown():

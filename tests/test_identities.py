@@ -1,7 +1,11 @@
+import dataclasses
+import json
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
+from pcmix.cli import main
 from pcmix.families import mixed_pair, pc_hat_mixed, pc_mixed, rising_pair
 from pcmix.identities import (
     ALL_IDS,
@@ -10,9 +14,9 @@ from pcmix.identities import (
     CORE_IDS,
     Grid,
     ParameterError,
+    _plain,
     summarize,
     t3_polynomial,
-    t3h_polynomial,
     verify,
     verify_grid,
 )
@@ -64,7 +68,7 @@ def test_t3_is_independent_route():
     for k, a in ((1, F(1)), (-2, F(3, 7))):
         for n in range(6):
             assert t3_polynomial(n, k, a) == pc_mixed(n, k, a)
-            assert t3h_polynomial(n, k, a) == pc_hat_mixed(n, k, a)
+            assert t3_polynomial(n, k, a, hat=True) == pc_hat_mixed(n, k, a)
             assert verify("T3", n, k=k, a=a).equal
             assert verify("T3H", n, k=k, a=a).equal
 
@@ -131,18 +135,32 @@ def test_parameters_are_canonicalized():
     assert result.params == verify("T1", 2, k=1, a=3).params
 
 
-def test_mismatch_reporting_shape():
-    # Force a mismatch through a deliberately broken comparison to confirm
-    # the result carries both sides: compare T1's right side at the wrong n.
-    from pcmix.identities import _check_t1
+def test_counterexample_path(monkeypatch):
+    # No catalogued identity fails, so swap T1's checker for one whose right
+    # side is perturbed and follow the mismatch through verify and the CLI.
+    def perturbed(n, k, a):
+        lhs = pc_mixed(n, k, a)
+        return _plain(lhs, lhs + 1)
 
-    equal, lhs, rhs, note, ap, df = _check_t1(3, 1, F(1))
-    assert equal and lhs is None and rhs is None
-    # The catalogue never produces a failing core identity; the reporting
-    # path is covered through the audit identities' printed forms instead.
-    r = verify("E62", 2, k=-1, a=F(3, 7))
-    assert r.equal and r.as_printed is False
-    assert r.lhs is None and r.rhs is None
+    info = dataclasses.replace(CATALOGUE["T1"], checker=perturbed)
+    monkeypatch.setitem(CATALOGUE, "T1", info)
+
+    r = verify("T1", 1, k=1, a=1)
+    assert not r.equal
+    assert r.lhs == pc_mixed(1, 1, 1) and r.rhs == r.lhs + 1
+
+    args = ("verify", "--ids", "T1", "--n-max", "1", "--a", "1", "--k", "1")
+    result = CliRunner().invoke(main, [*args, "--format", "json"])
+    assert result.exit_code == 1
+    results = json.loads(result.output)["results"]
+    assert [entry["equal"] for entry in results] == [False, False]
+    entry = results[1]
+    assert entry["lhs"] == [[-1, 2], [-1, 1]]
+    assert entry["rhs"] == [[1, 2], [-1, 1]]
+
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 1
+    assert "first counterexample:" in result.output
 
 
 def test_notes_present_for_special_cases():

@@ -32,7 +32,6 @@ from pcmix.sheffer import (
     operator_apply,
     recurrence_next,
     sheffer_orthogonality_check,
-    sheffer_polynomial,
     transfer_check,
 )
 from pcmix.special import falling_poly, lif_series, rising_poly
@@ -109,8 +108,8 @@ def test_rising_and_falling_pairs():
 
 def test_mixed_pair_matches_generating_function_route():
     pair = mixed_pair(1, F(1), 8)
-    assert sheffer_polynomial(pair, 1) == Poly((F(-1, 2), -1))
-    assert sheffer_polynomial(pair, 1) == pc_mixed(1, 1, 1)
+    assert pair.polynomial(1) == Poly((F(-1, 2), -1))
+    assert pair.polynomial(1) == pc_mixed(1, 1, 1)
 
 
 def test_orthogonality_for_mixed_pairs():

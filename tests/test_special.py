@@ -1,5 +1,7 @@
+import sys
+import threading
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -216,3 +218,83 @@ def test_factorial_polynomials():
         assert rising_poly(n) == falling_poly(n).compose(-X) * (-1) ** n
         for k in range(n + 1):
             assert falling_poly(n).coefficient(k) == stirling1(n, k)
+
+
+# -- concurrent readers --------------------------------------------------------
+
+
+def _race(worker, threads=8):
+    """Run worker(index) on many threads at once with a tiny switch interval;
+    return the exceptions they raised."""
+    errors = []
+    barrier = threading.Barrier(threads)
+
+    def run(index):
+        barrier.wait()
+        try:
+            worker(index)
+        except Exception as exc:
+            errors.append(exc)
+
+    pool = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    return errors
+
+
+def _stirling2_reference(n, k):
+    # Explicit inclusion-exclusion formula, independent of the table.
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1)) // factorial(k)
+
+
+def test_stirling_table_concurrent_growth():
+    n_max = 119
+    reference = [[_stirling2_reference(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
+    for _ in range(10):
+        table = StirlingTable("second")
+        seen = []
+
+        def worker(index):
+            for n in range(index, n_max + 1, 3):
+                seen.append((n, n // 2, table.value(n, n // 2)))
+
+        assert _race(worker) == []
+        assert all(value == reference[n][k] for n, k, value in seen)
+        assert table.rows == reference[: len(table.rows)]
+
+
+def test_frobenius_numbers_concurrent_growth():
+    n_max, r_max = 13, 2
+    for trial in range(10):
+        lam = F(2 + trial, 3 + 2 * trial) + 7  # unseen, so its table starts empty
+        first = [
+            sum(
+                F((-1) ** j * factorial(j) * _stirling2_reference(n, j)) / (1 - lam) ** j
+                for j in range(n + 1)
+            )
+            for n in range(n_max + 1)
+        ]
+        reference = [[F(n == 0) for n in range(n_max + 1)], first]
+        for _ in range(2, r_max + 1):
+            prev = reference[-1]
+            reference.append([
+                sum(comb(n, i) * prev[i] * first[n - i] for i in range(n + 1))
+                for n in range(n_max + 1)
+            ])
+        seen = []
+
+        def worker(index):
+            for n in range(n_max + 1):
+                for r in range(r_max + 1):
+                    seen.append((n, r, frobenius_number(n, r, lam)))
+
+        assert _race(worker) == []
+        assert all(value == reference[r][n] for n, r, value in seen)
