@@ -149,6 +149,9 @@ def table(family, a, k, r, lam, n_max, fmt):
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
     try:
+        # Ask for the top row first, so a family is extracted once at order
+        # n_max + 1 instead of at every doubled order on the way up.
+        producer(n_max, params)
         rows = [
             {"n": n, "coeffs": [_pair(c) for c in producer(n, params)]}
             for n in range(n_max + 1)

@@ -3,11 +3,24 @@
 Polynomials are the coefficient domain of the truncated series in
 :mod:`pcmix.series` and the value type of every polynomial family.  All
 arithmetic is exact; floats are rejected at construction time.
+
+A polynomial is stored as integer numerators over one shared denominator
+(the ``fmpq_poly`` layout of FLINT): ``sum(nums[j] * x**j) / den``.  The
+pair is canonical, so equality and hashing compare it directly:
+
+* ``den > 0`` and ``gcd(den, *nums) == 1``;
+* the last numerator is nonzero, so ``len(nums) == degree + 1``;
+* the zero polynomial is ``nums == ()``, ``den == 1``.
+
+Every operation works on the integers and restores the invariants with one
+``gcd`` over its result.  :attr:`Poly.coeffs` is a ``Fraction`` view built
+on request, not stored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -22,109 +35,157 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def convolve_into(acc: list[int], a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """Add the integer convolution of ``a`` and ``b`` into ``acc`` in place.
+
+    ``acc`` must hold at least ``len(a) + len(b) - 1`` entries.
+    """
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+
+
+def from_parts(nums: list[int], den: int) -> "Poly":
+    """The polynomial ``sum(nums[j] * x**j) / den`` for integers, ``den > 0``.
+
+    Trims trailing zeros and divides out the common gcd: the one
+    normalisation every operation ends with.
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    p = Poly.__new__(Poly)
+    if not nums:
+        p.nums, p.den = (), 1
+        return p
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    p.nums, p.den = tuple(nums), den
+    return p
+
+
 class Poly:
     """Immutable polynomial in one variable, coefficients lowest degree first.
 
-    The zero polynomial stores an empty coefficient tuple; otherwise the
-    last coefficient is nonzero, so ``len(coeffs) == degree + 1``.
+    ``nums`` and ``den`` hold the canonical scaled-integer form described in
+    the module docstring; ``coeffs`` is the matching ``Fraction`` tuple.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        fs = [as_fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fs))
+        # With den the lcm of reduced denominators the gcd is already 1.
+        nums = [f.numerator * (den // f.denominator) for f in fs]
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums, self.den = tuple(nums), den if nums else 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients as Fractions, lowest degree first; empty for zero."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     @property
     def constant_value(self) -> Fraction:
         """Value as a scalar; only valid for constant polynomials."""
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant polynomial")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     @property
     def lead(self) -> Fraction:
         """Leading coefficient; only valid for nonzero polynomials."""
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coefficient(self, j: int) -> Fraction:
         """Coefficient of x**j (zero beyond the stored degree)."""
         if j < 0:
             raise ValueError("coefficient index must be >= 0")
-        return self.coeffs[j] if j < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[j], self.den) if j < len(self.nums) else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly((other,)).coeffs
+            other = Poly((other,))
+        if isinstance(other, Poly):
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        p = Poly.__new__(Poly)
+        p.nums, p.den = tuple(-c for c in self.nums), self.den
+        return p
 
     def __add__(self, other: Union["Poly", Rational]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self.nums, self.den, other.nums, other.den
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [c * sa for c in a]
+            b = [c * sb for c in b]
+            da *= sa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return from_parts(out, da)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Poly", Rational]) -> "Poly":
-        return self + (-other if isinstance(other, Poly) else Poly((other,)).__neg__())
+        return self + -(other if isinstance(other, Poly) else Poly((other,)))
 
     def __rsub__(self, other: Rational) -> "Poly":
         return Poly((other,)) + (-self)
 
     def __mul__(self, other: Union["Poly", Rational]) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            if not other:
                 return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
+            f = as_fraction(other)
+            p = f.numerator
+            return from_parts([c * p for c in self.nums], self.den * f.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        convolve_into(out, a, b)
+        return from_parts(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -137,39 +198,53 @@ class Poly:
         return result
 
     def __call__(self, point: Rational) -> Fraction:
-        """Evaluate at an exact rational point (Horner)."""
+        """Evaluate at an exact rational point (integer Horner)."""
         x = as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        # After the loop acc = sum(nums[j] * p**j * q**(degree - j)).
+        acc, qpow = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self.den * (qpow // q))
 
     def compose(self, inner: "Poly") -> "Poly":
-        """Substitute ``inner`` for the variable (Horner)."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        """Substitute ``inner`` for the variable (integer Horner)."""
+        nums = self.nums
+        if not nums:
+            return Poly()
+        inums, e = inner.nums, inner.den
+        # acc / (den * e**k) after k steps: scale each new constant by e**k.
+        acc, epow = [nums[-1]], e
+        for c in reversed(nums[:-1]):
+            out = [0] * (len(acc) + len(inums) - 1) if inums else [0]
+            convolve_into(out, acc, inums)
+            out[0] += c * epow
+            acc, epow = out, epow * e
+        return from_parts(acc, self.den * (epow // e))
 
     def shifted(self, offset: Rational) -> "Poly":
         """p(x + offset)."""
         return self.compose(Poly((offset, 1)))
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return from_parts([i * c for i, c in enumerate(self.nums) if i], self.den)
 
     def divide_x(self) -> "Poly":
         """Exact division by x; requires a zero constant term."""
-        if self.coeffs and self.coeffs[0] != 0:
+        if self.nums and self.nums[0]:
             raise ValueError(f"{self} is not divisible by x")
-        return Poly(self.coeffs[1:])
+        return from_parts(list(self.nums[1:]), self.den)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
+        for j in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[j]
             if not c:
                 continue
             sign = "-" if c < 0 else "+"

@@ -13,10 +13,10 @@ refuses instead of coercing; callers truncate explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Union
 
-from .poly import Poly, Rational, as_fraction
+from .poly import Poly, Rational, as_fraction, convolve_into, from_parts
 
 Coefficient = Union[Poly, int, Fraction]
 
@@ -45,6 +45,13 @@ def _as_poly(c: Coefficient) -> Poly:
     if isinstance(c, Poly):
         return c
     return Poly((as_fraction(c),))
+
+
+def _over_common_denominator(coeffs: tuple[Poly, ...]) -> tuple[list[tuple[int, ...]], int]:
+    """Numerator tuples of every coefficient over their least common denominator."""
+    den = lcm(*(c.den for c in coeffs))
+    return [c.nums if c.den == den else tuple(x * (den // c.den) for x in c.nums)
+            for c in coeffs], den
 
 
 class Series:
@@ -137,16 +144,19 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_order(other)
-        n = self.order
-        out = [Poly()] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return Series(out, n)
+        # Each t^m coefficient is one integer convolution over the product of
+        # the two common denominators, normalised once.
+        a, da = _over_common_denominator(self.coeffs)
+        b, db = _over_common_denominator(other.coeffs)
+        den = da * db
+        out = []
+        for m in range(self.order):
+            pairs = [(a[i], b[m - i]) for i in range(m + 1) if a[i] and b[m - i]]
+            acc = [0] * max((len(x) + len(y) - 1 for x, y in pairs), default=0)
+            for x, y in pairs:
+                convolve_into(acc, x, y)
+            out.append(from_parts(acc, den))
+        return Series(out, self.order)
 
     def __rmul__(self, other: Coefficient) -> "Series":
         return self.__mul__(other)

@@ -10,6 +10,7 @@ right-hand sides from this module only.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -32,28 +33,31 @@ class StirlingTable:
             raise ValueError(f"unknown Stirling kind {kind!r}")
         self.kind = kind
         self.rows: list[list[int]] = [[1]]
+        self._grow_lock = threading.Lock()
 
     def value(self, n: int, k: int) -> int:
         if n < 0 or k < 0 or k > n:
             raise ValueError(f"Stirling numbers need 0 <= k <= n, got ({n}, {k})")
         rows = self.rows
         if len(rows) <= n:
-            # Grow a private copy and publish it with one assignment, so a
-            # concurrent reader never sees a half-built row.
-            rows = list(rows)
-            while len(rows) <= n:
-                m = len(rows) - 1
-                prev = rows[-1]
-                row = [0] * (m + 2)
-                for j in range(m + 2):
-                    lower = prev[j - 1] if 1 <= j <= m + 1 else 0
-                    same = prev[j] if j <= m else 0
-                    if self.kind == "first":
-                        row[j] = lower - m * same
-                    else:
-                        row[j] = lower + j * same
-                rows.append(row)
-            self.rows = rows
+            # Growth is serialised and starts from the table published last,
+            # so a stale shorter copy never replaces a longer one.  Readers
+            # take no lock: the grown copy is published with one assignment.
+            with self._grow_lock:
+                rows = list(self.rows)
+                while len(rows) <= n:
+                    m = len(rows) - 1
+                    prev = rows[-1]
+                    row = [0] * (m + 2)
+                    for j in range(m + 2):
+                        lower = prev[j - 1] if 1 <= j <= m + 1 else 0
+                        same = prev[j] if j <= m else 0
+                        if self.kind == "first":
+                            row[j] = lower - m * same
+                        else:
+                            row[j] = lower + j * same
+                    rows.append(row)
+                self.rows = rows
         return rows[n][k]
 
 
@@ -96,6 +100,7 @@ def rising_poly(n: int) -> Poly:
 # -- convolution powers of ordinary coefficient sequences -------------------
 
 _POWER_CACHE: dict[tuple, tuple[tuple[Fraction, ...], ...]] = {}
+_POWER_GROW_LOCK = threading.Lock()
 
 
 def _convolution_power(key: tuple, base: Callable[[int], Fraction], r: int, n: int) -> Fraction:
@@ -103,25 +108,29 @@ def _convolution_power(key: tuple, base: Callable[[int], Fraction], r: int, n: i
 
     Row r of the table under ``key`` holds the r-th power; row 1 is ``base``
     itself, so each base value is computed once.  All rows have one length.
-    A larger table is built privately and published with one assignment, so
-    concurrent callers never see a half-grown row.
+    Growth is serialised and starts from the table published last, so no
+    table replaces one that is larger in either dimension; the grown copy is
+    published with one assignment, so lock-free readers never see a
+    half-grown row.
     """
     powers = _POWER_CACHE.get(key)
     if powers is not None and len(powers) > r and len(powers[0]) > n:
         return powers[r][n]
-    rows = [list(row) for row in powers] if powers else [[], []]
-    rows += [[] for _ in range(r + 1 - len(rows))]
-    size = max(n + 1, len(rows[0]))
-    for rank, row in enumerate(rows):
-        for m in range(len(row), size):
-            if rank == 0:
-                row.append(Fraction(1) if m == 0 else Fraction(0))
-            elif rank == 1:
-                row.append(base(m))
-            else:
-                prev, first = rows[rank - 1], rows[1]
-                row.append(sum((prev[i] * first[m - i] for i in range(m + 1)), Fraction(0)))
-    _POWER_CACHE[key] = tuple(tuple(row) for row in rows)
+    with _POWER_GROW_LOCK:
+        powers = _POWER_CACHE.get(key)
+        rows = [list(row) for row in powers] if powers else [[], []]
+        rows += [[] for _ in range(r + 1 - len(rows))]
+        size = max(n + 1, len(rows[0]))
+        for rank, row in enumerate(rows):
+            for m in range(len(row), size):
+                if rank == 0:
+                    row.append(Fraction(1) if m == 0 else Fraction(0))
+                elif rank == 1:
+                    row.append(base(m))
+                else:
+                    prev, first = rows[rank - 1], rows[1]
+                    row.append(sum((prev[i] * first[m - i] for i in range(m + 1)), Fraction(0)))
+        _POWER_CACHE[key] = tuple(tuple(row) for row in rows)
     return rows[r][n]
 
 

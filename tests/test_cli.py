@@ -173,6 +173,18 @@ def test_verify_all_output_bytes_are_pinned():
     assert digest == "128024219284c8e41389e834d66d4c55f15e394c5a53fd747986d21715723816"
 
 
+def test_table_output_bytes_are_pinned():
+    # Deep rows of a mixed family go through every series product of the
+    # generating function; the digest pins the exact coefficients and layout.
+    result = run_cli(
+        "table", "--family", "pc-mixed", "--k", "3", "--a", "2",
+        "--n-max", "40", "--format", "json",
+    )
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == "24bf51d05bab7153ca23a4492ed87642d428aa54ec98a6af57f143d548c62baf"
+
+
 def test_describe_known_and_unknown():
     result = run_cli("describe", "T7")
     assert result.exit_code == 0

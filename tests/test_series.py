@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -282,6 +282,32 @@ def test_ring_laws(f, g, h):
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+
+
+# Zero, negative and large-denominator coefficients, so the common
+# denominators of the two operands differ from term to term.
+wide_rationals = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-(10 ** 6), max_value=10 ** 6, max_denominator=10 ** 12),
+)
+wide_series = st.lists(
+    st.lists(wide_rationals, max_size=4).map(Poly), max_size=6
+).map(lambda cs: Series(cs, 6))
+
+
+@settings(deadline=None, max_examples=100)
+@given(wide_series, wide_series)
+def test_mul_matches_schoolbook_poly_products(f, g):
+    out = [Poly()] * 6
+    for i in range(6):
+        for j in range(6 - i):
+            out[i + j] = out[i + j] + f.coeffs[i] * g.coeffs[j]
+    product = f * g
+    assert product == Series(out, 6)
+    for c in product.coeffs:
+        assert c.den > 0 and gcd(c.den, *c.nums) == 1
+        assert not c.nums or c.nums[-1] != 0
+        assert c.nums or c.den == 1
 
 
 @settings(deadline=None, max_examples=60)

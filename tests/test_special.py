@@ -8,6 +8,7 @@ import pytest
 from pcmix.poly import Poly, X
 from pcmix.series import exp_series, log1p_scaled, one_series, t_series
 from pcmix.special import (
+    _POWER_CACHE,
     StirlingTable,
     bernoulli_order,
     cauchy_first,
@@ -269,6 +270,8 @@ def test_stirling_table_concurrent_growth():
         assert _race(worker) == []
         assert all(value == reference[n][k] for n, k, value in seen)
         assert table.rows == reference[: len(table.rows)]
+        # No thread may replace the table with a shorter copy.
+        assert len(table.rows) > max(n for n, _, _ in seen)
 
 
 def test_frobenius_numbers_concurrent_growth():
@@ -292,9 +295,15 @@ def test_frobenius_numbers_concurrent_growth():
         seen = []
 
         def worker(index):
-            for n in range(n_max + 1):
-                for r in range(r_max + 1):
-                    seen.append((n, r, frobenius_number(n, r, lam)))
+            # Threads ask for different (r, n) at once, so a stale copy that
+            # is larger in one dimension only could replace a newer table.
+            for n in range(index % 4, n_max + 1, 4):
+                r = (index + n) % (r_max + 1)
+                seen.append((n, r, frobenius_number(n, r, lam)))
 
         assert _race(worker) == []
         assert all(value == reference[r][n] for n, r, value in seen)
+        # No thread may replace the table with one smaller in either dimension.
+        powers = _POWER_CACHE[("frobenius", lam)]
+        assert len(powers) > max(r for _, r, _ in seen)
+        assert len(powers[0]) > max(n for n, _, _ in seen)
