@@ -23,6 +23,7 @@ from .series import (
     exp_xt,
     log1p_scaled,
     one_series,
+    t_series,
 )
 from .sheffer import ShefferPair
 from .special import lif_series
@@ -172,8 +173,6 @@ def _exp_of_delta(inner: Series) -> Series:
 
 def monomial_pair(order: int = DEFAULT_PAIR_ORDER) -> ShefferPair:
     """(1, t): the monomial sequence x^n."""
-    from .series import t_series
-
     return ShefferPair(one_series(order), t_series(order), "monomials")
 
 
@@ -198,8 +197,6 @@ def charlier_pair(a: Rational, order: int = DEFAULT_PAIR_ORDER) -> ShefferPair:
 
 def bernoulli_pair(r: int, order: int = DEFAULT_PAIR_ORDER) -> ShefferPair:
     """(((exp(t)-1)/t)^r, t) for the order-r Bernoulli polynomials."""
-    from .series import t_series
-
     if r < 0:
         raise ValueError("the order r must be >= 0")
     g = ((exp_series(order + 1) - one_series(order + 1)).divide_t()) ** r
@@ -210,8 +207,6 @@ def frobenius_pair(
     r: int, lam: Rational, order: int = DEFAULT_PAIR_ORDER
 ) -> ShefferPair:
     """(((exp(t)-lam)/(1-lam))^r, t) for the Frobenius-Euler polynomials."""
-    from .series import t_series
-
     lam = _check_lambda(lam)
     g = ((exp_series(order) - one_series(order) * lam) * (1 / (1 - lam))) ** r
     return ShefferPair(g, t_series(order), f"frobenius-euler(r={r}, lambda={lam})")

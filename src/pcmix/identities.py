@@ -25,7 +25,7 @@ from math import comb, factorial, perm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import families as fam
-from .poly import Poly, Rational, X, as_fraction
+from .poly import Poly, Rational, X, as_fraction, monomial
 from .series import Series, binomial_pow, exp_neg_series, exp_series, log1p_scaled
 from .sheffer import operator_apply
 from .special import (
@@ -78,32 +78,25 @@ DEFAULT_GRID = Grid(
 )
 
 
-# -- cached building blocks ---------------------------------------------------
+# -- building blocks ----------------------------------------------------------
 #
 # ``hat`` is False for the first-kind mixed family and True for the second.
-# Members are looked up through the families module at call time: its
-# extraction tables are their only cache.
+# Members and their point values are looked up through the families module at
+# call time: its extraction tables are their only cache.  Four memos remain,
+# each for a value many grid points share that costs far more than a lookup:
+# the Bernoulli basis (T8/E74) and the Frobenius-Euler basis (T9/E77), keyed
+# by degree and order only; the Lif logarithmic-derivative ratio (E54/E55),
+# one series inverse per (k, order); and the derivative remainder series, one
+# bivariate series product per (k, a) shared by T6, E60 and E61.
 
 
 def _mixed(n: int, k: int, a: Fraction, hat: bool) -> Poly:
     return (fam.pc_hat_mixed if hat else fam.pc_mixed)(n, k, a)
 
 
-@lru_cache(maxsize=None)
-def _mixed_at(n: int, k: int, a: Fraction, x0: Fraction, hat: bool) -> Fraction:
-    return _mixed(n, k, a, hat)(x0)
-
-
-@lru_cache(maxsize=None)
 def _mixed_shifted(n: int, k: int, a: Fraction, hat: bool) -> Poly:
     # The argument moves by +1 for the first kind and by -1 for the second.
     return _mixed(n, k, a, hat).shifted(-1 if hat else 1)
-
-
-@lru_cache(maxsize=None)
-def _charlier_reflected(n: int, a: Fraction) -> Poly:
-    # The Poisson-Charlier polynomial evaluated at -x.
-    return fam.poisson_charlier(n, a).compose(-X)
 
 
 def _factorial_poly(m: int, hat: bool) -> Poly:
@@ -112,28 +105,40 @@ def _factorial_poly(m: int, hat: bool) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _factorial_at(m: int, y: Fraction, hat: bool) -> Fraction:
-    return _factorial_poly(m, hat)(y)
-
-
-@lru_cache(maxsize=None)
 def _bernoulli_basis(m: int, s: int) -> Poly:
     # Appell expansion over the number table, independent of the family GF.
-    return Poly(
-        [comb(m, j) * bernoulli_order(m - j, s) for j in range(m + 1)]
-    )
+    return Poly([comb(m, j) * bernoulli_order(m - j, s) for j in range(m + 1)])
 
 
 @lru_cache(maxsize=None)
 def _frobenius_basis(m: int, s: int, lam: Fraction) -> Poly:
-    return Poly(
-        [comb(m, j) * frobenius_number(m - j, s, lam) for j in range(m + 1)]
-    )
+    return Poly([comb(m, j) * frobenius_number(m - j, s, lam) for j in range(m + 1)])
 
 
-@lru_cache(maxsize=None)
-def _shift_power(c: int, j: int) -> Poly:
-    return Poly((c, 1)) ** j
+def _stirling_sum(n: int, m: int, a: Fraction, values: Sequence[Fraction]) -> Fraction:
+    # sum_{l=0}^{n-m} C(n, l) S1(n-l, m) a^-(n-l) values[l]: the umbral
+    # connection step through signed first-kind Stirling numbers, with values[l]
+    # a point value of the l-th family member (or a sum of them).  T3/T3H,
+    # T4/E41, T8/E74, T9, E77, T7/E67 and the printed tail of E54/E55 reach
+    # their right sides through it.  Empty, hence 0, when m > n.
+    total = Fraction(0)
+    for l in range(n - m + 1):
+        s1 = stirling1(n - l, m)
+        if s1:
+            total += comb(n, l) * s1 * a ** -(n - l) * values[l]
+    return total
+
+
+def _stirling_expansion(
+    n: int, a: Fraction, values: Sequence[Fraction], basis: Callable, signed: bool
+) -> Poly:
+    # sum_m c_m basis(m), c_m the Stirling sum over values, negated at odd m if signed.
+    rhs = Poly()
+    for m in range(n + 1):
+        c = _stirling_sum(n, m, a, values)
+        if c:
+            rhs = rhs + basis(m) * (-c if signed and m % 2 else c)
+    return rhs
 
 
 def _series_order(n: int) -> int:
@@ -230,8 +235,8 @@ def _check_p2(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     rhs = Poly()
     for l in range(n + 1):
         w = comb(n, l) * cauchy(n - l, k)(0) * a ** -(n - l)
-        charlier = fam.poisson_charlier(l, a) if hat else _charlier_reflected(l, a)
-        rhs = rhs + charlier * w
+        charlier = fam.poisson_charlier(l, a)
+        rhs = rhs + (charlier if hat else charlier.compose(-X)) * w
     return _plain(_mixed(n, k, a, hat), rhs)
 
 
@@ -239,28 +244,25 @@ def _stirling_triple_sum(
     n: int, k: int, a: Fraction, hat: bool, offset: int
 ) -> list[Fraction]:
     # For each power j: the sum over m >= j and l of
-    # sign * C(n, l) * S1(n-l, m) * a^l * C(m, j) * (m-j+offset)^(-k),
+    # sign * C(n, l) * S1(n-l, m) * a^-(n-l) * C(m, j) * (m-j+offset)^(-k),
     # where the sign parity is l+j for the first kind and l+m+j for the second.
+    # The l-sum is the Stirling sum over (-1)^l and does not depend on j.
+    signs = [(-1) ** l for l in range(n + 1)]
+    inner = [(-1) ** (m * hat) * _stirling_sum(n, m, a, signs) for m in range(n + 1)]
     totals = []
     for j in range(n + 1):
         total = Fraction(0)
         for m in range(j, n + 1):
-            w_m = comb(m, j) * Fraction(m - j + offset) ** -k
-            for l in range(n - m + 1):
-                s1 = stirling1(n - l, m)
-                if s1:
-                    parity = (l + m + j) if hat else (l + j)
-                    sign = -1 if parity & 1 else 1
-                    total += sign * comb(n, l) * s1 * a ** l * w_m
-        totals.append(total)
+            if inner[m]:
+                total += comb(m, j) * Fraction(m - j + offset) ** -k * inner[m]
+        totals.append(-total if j % 2 else total)
     return totals
 
 
 def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
     """The explicit triple-sum formula for the first-kind mixed polynomial,
     or for the second-kind one when ``hat`` is true."""
-    a = as_fraction(a)
-    return Poly([c * a ** -n for c in _stirling_triple_sum(n, k, a, hat, 1)])
+    return Poly(_stirling_triple_sum(n, k, as_fraction(a), hat, 1))
 
 
 def _check_t3(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
@@ -270,16 +272,9 @@ def _check_t3(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
 
 def _check_t4(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Theorem 4; with hat, equation (41), which has no (-1)^l.
-    coefs = []
-    for l in range(n + 1):
-        total = Fraction(0)
-        for r in range(n - l + 1):
-            s1 = stirling1(n - r, l)
-            if s1:
-                value = _mixed_at(r, k, a, Fraction(0), hat)
-                total += comb(n, r) * s1 * a ** -(n - r) * value
-        coefs.append(-total if l % 2 and not hat else total)
-    return _plain(_mixed(n, k, a, hat), Poly(coefs))
+    values = [_mixed(l, k, a, hat)(0) for l in range(n + 1)]
+    rhs = _stirling_expansion(n, a, values, monomial, not hat)
+    return _plain(_mixed(n, k, a, hat), rhs)
 
 
 def _check_t5(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
@@ -323,7 +318,7 @@ def _check_e49(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
         lhs = members[n].compose(Poly((y, 1)))
         rhs = Poly()
         for j in range(n + 1):
-            w = comb(n, j) * step ** (n - j) * _factorial_at(n - j, y, hat)
+            w = comb(n, j) * step ** (n - j) * _factorial_poly(n - j, hat)(y)
             if w:
                 rhs = rhs + members[j] * w
         if lhs != rhs:
@@ -361,26 +356,12 @@ def _check_t8(n: int, k: int, a: Fraction, s: int, *, hat: bool) -> dict:
     # Theorem 8 with first-kind Cauchy numbers; with hat, equation (74) with
     # second-kind ones and no (-1)^m.
     cauchy = cauchy_second if hat else cauchy_first
-    rhs = Poly()
-    for m in range(n + 1):
-        total = Fraction(0)
-        for l in range(n - m + 1):
-            s1 = stirling1(n - l, m)
-            if not s1:
-                continue
-            w_l = comb(n, l) * s1
-            for i in range(l + 1):
-                total += (
-                    w_l
-                    * comb(l, i)
-                    * a ** -(n - l + i)
-                    * cauchy(i, s)
-                    * _mixed_at(l - i, k, a, Fraction(s), hat)
-                )
-        if m % 2 and not hat:
-            total = -total
-        if total:
-            rhs = rhs + _bernoulli_basis(m, s) * total
+    at_s = [_mixed(l, k, a, hat)(s) for l in range(n + 1)]
+    values = [
+        sum(comb(l, i) * a ** -i * cauchy(i, s) * at_s[l - i] for i in range(l + 1))
+        for l in range(n + 1)
+    ]
+    rhs = _stirling_expansion(n, a, values, lambda m: _bernoulli_basis(m, s), not hat)
     return _plain(_mixed(n, k, a, hat), rhs)
 
 
@@ -388,51 +369,24 @@ def _check_t9(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
     # The printed statement's binomial weight comb(l, i) disagrees with the
     # identity's own derivation, which carries comb(s, i); the derivation
     # form is the one that holds and is what this verifier implements.
-    scale = (1 - lam) ** -s
-    rhs = Poly()
-    for m in range(n + 1):
-        total = Fraction(0)
-        for l in range(n - m + 1):
-            s1 = stirling1(n - l, m)
-            if not s1:
-                continue
-            w_l = comb(n, l) * s1
-            for i in range(min(s, l) + 1):
-                total += (
-                    w_l
-                    * comb(s, i)
-                    * perm(l, i)
-                    * a ** -(n - l + i)
-                    * (1 - lam) ** (s - i)
-                    * (-lam) ** i
-                    * _mixed_at(l - i, k, a, Fraction(s), False)
-                )
-        if m % 2:
-            total = -total
-        if total:
-            rhs = rhs + _frobenius_basis(m, s, lam) * (total * scale)
+    at_s = [_mixed(l, k, a, False)(s) for l in range(n + 1)]
+    step = -lam / ((1 - lam) * a)
+    values = [
+        sum(comb(s, i) * perm(l, i) * step ** i * at_s[l - i] for i in range(min(s, l) + 1))
+        for l in range(n + 1)
+    ]
+    rhs = _stirling_expansion(n, a, values, lambda m: _frobenius_basis(m, s, lam), True)
     return _plain(_mixed(n, k, a, False), rhs)
 
 
 def _check_e77(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
     scale = (1 - lam) ** -s
-    rhs = Poly()
-    for m in range(n + 1):
-        total = Fraction(0)
-        for l in range(n - m + 1):
-            s1 = stirling1(n - l, m)
-            if not s1:
-                continue
-            w_l = comb(n, l) * s1 * a ** -(n - l)
-            for i in range(s + 1):
-                total += (
-                    w_l
-                    * comb(s, i)
-                    * (-lam) ** (s - i)
-                    * _mixed_at(l, k, a, Fraction(i), True)
-                )
-        if total:
-            rhs = rhs + _frobenius_basis(m, s, lam) * (total * scale)
+    members = [_mixed(l, k, a, True) for l in range(n + 1)]
+    values = [
+        scale * sum(comb(s, i) * (-lam) ** (s - i) * p(i) for i in range(s + 1))
+        for p in members
+    ]
+    rhs = _stirling_expansion(n, a, values, lambda m: _frobenius_basis(m, s, lam), False)
     return _plain(_mixed(n, k, a, True), rhs)
 
 
@@ -442,7 +396,7 @@ def _check_t10(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     base = a if hat else -a
     rhs = Poly()
     for m in range(n + 1):
-        w = comb(n, m) * base ** -m * _mixed_at(n - m, k, a, Fraction(0), hat)
+        w = comb(n, m) * base ** -m * _mixed(n - m, k, a, hat)(0)
         if w:
             rhs = rhs + _factorial_poly(m, hat) * w
     return _plain(_mixed(n, k, a, hat), rhs)
@@ -465,10 +419,7 @@ def _check_e54(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # shifted by one.
     sign = -1 if hat else 1
     head = _recurrence_head(n + 1, k, a, hat)
-    tail = Poly()
-    for j, total in enumerate(_stirling_triple_sum(n, k, a, hat, 2)):
-        if total:
-            tail = tail + _shift_power(sign, j) * (total * a ** -(n + 1))
+    tail = Poly(_stirling_triple_sum(n, k, a, hat, 2)).shifted(sign) * (1 / a)
     printed = head - tail if hat else head + tail
     ratio = _lif_log_ratio(k, _series_order(n))
     split = operator_apply(ratio, _mixed_shifted(n, k, a, hat))
@@ -510,6 +461,7 @@ def _check_e62(n: int, k: int, a: Fraction) -> dict:
     # where the parallel first-kind statement has n-l; the derivation form
     # restores n-l.
     head = _recurrence_head(n, k, a, True)
+    fixed = _mixed_shifted(n - 1, k - 1, a, True)
     printed_tail = Poly()
     derived_tail = Poly()
     for l in range(n):
@@ -517,7 +469,7 @@ def _check_e62(n: int, k: int, a: Fraction) -> dict:
         if not w:
             continue
         lower = _mixed_shifted(n - l, k, a, True)
-        printed_tail = printed_tail + (_mixed_shifted(n - 1, k - 1, a, True) - lower) * w
+        printed_tail = printed_tail + (fixed - lower) * w
         derived_tail = derived_tail + (_mixed_shifted(n - l, k - 1, a, True) - lower) * w
     printed = head + printed_tail * Fraction(1, n)
     derived = head + derived_tail * Fraction(1, n)
@@ -531,15 +483,12 @@ def _check_t7(n: int, m: int, k: int, a: Fraction, *, hat: bool) -> dict:
     edge = Fraction(-1) if hat else Fraction(1)
 
     def moment(q: int, j: int, kk: int, x0: Fraction) -> Fraction:
-        # sum_l j! a^(l-q) C(q, l) S1(q-l, j) P_l^(kk)(x0)
-        total = Fraction(0)
-        for l in range(q - j + 1):
-            s1 = stirling1(q - l, j)
-            if s1:
-                total += a ** -(q - l) * comb(q, l) * s1 * _mixed_at(l, kk, a, x0, hat)
-        return factorial(j) * total
+        # sum_l j! a^(l-q) C(q, l) S1(q-l, j) P_l^(kk)(x0); 0 when j > q.
+        values = [_mixed(l, kk, a, hat)(x0) for l in range(q - j + 1)]
+        return factorial(j) * _stirling_sum(q, j, a, values)
 
     direct = moment(n, m, k, Fraction(0))
+    # At m = n the lowered moment is the empty sum.
     lowered = moment(n - 1, m, k, Fraction(0))
     # The edge terms weigh the (m-1)-th moment by m!/a in place of (m-1)!.
     edge_k = moment(n - 1, m - 1, k, edge) * m / a
@@ -865,15 +814,18 @@ def verify_grid(
     """Exhaustively verify the given identities over a parameter grid.
 
     Results come back in a deterministic order, lexicographic in
-    (identity, parameters, n), independent of evaluation order.
+    (identity, parameters, n), independent of evaluation order.  A repeated
+    identity or grid value raises ParameterError instead of checking twice.
     """
     grid = grid or DEFAULT_GRID
+    ids = tuple(ids)
     axis_values = {
-        "k": grid.k_values,
-        "a": grid.a_values,
-        "s": grid.s_values,
-        "lam": grid.lam_values,
+        "k": grid.k_values, "a": grid.a_values, "s": grid.s_values, "lam": grid.lam_values,
     }
+    for axis, values in (("ids", ids), *axis_values.items()):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ParameterError(f"{axis!r} lists {value} twice")
     results: list[VerificationResult] = []
     for identity in ids:
         info = CATALOGUE.get(identity)

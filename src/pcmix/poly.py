@@ -268,9 +268,6 @@ class Poly:
 #: The variable itself, for building polynomials by arithmetic.
 X = Poly((0, 1))
 
-ZERO = Poly()
-ONE = Poly((1,))
-
 
 def monomial(degree: int, coefficient: Rational = 1) -> Poly:
     """coefficient * x**degree."""

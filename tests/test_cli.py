@@ -131,6 +131,17 @@ def test_verify_bad_grid_value_exit_2():
     assert run_cli("verify", "--ids", "T9", "--n-max", "1", "--lambda", "1").exit_code == 2
 
 
+def test_verify_rejects_repeated_ids_and_grid_values():
+    # A repeated identity or grid value would check the same points twice and
+    # inflate the summary count.
+    assert run_cli("verify", "--ids", "T1,T1", "--n-max", "2").exit_code == 2
+    assert run_cli("verify", "--ids", "T1", "--n-max", "2", "--a", "1,2/2").exit_code == 2
+    assert run_cli("verify", "--ids", "T1", "--n-max", "2", "--k", "0,1,0").exit_code == 2
+    result = run_cli("verify", "--ids", "T1", "--n-max", "2", "--a", "1,2")
+    assert result.exit_code == 0
+    assert "summary: checked 36, failed 0" in result.output
+
+
 def test_verify_json_report_fields():
     result = run_cli(
         "verify", "--ids", "E62,T7", "--n-max", "3",

@@ -73,6 +73,26 @@ def test_t3_is_independent_route():
             assert verify("T3H", n, k=k, a=a).equal
 
 
+def test_stirling_sum_verifiers_beyond_default_degree():
+    # n = 14 lies past the default grid's n_max of 10; the point mixes a
+    # negative k, a negative non-integer a, s > 1 and a lambda off the
+    # integers.  T7/E67 at m = n reach the empty lowered moment.
+    point = {"k": -2, "a": F(-5, 2)}
+    with_s = {**point, "s": 2}
+    cases = [(ident, point) for ident in ("T3", "T3H", "T4", "E41", "E54", "E55")]
+    cases += [("T8", with_s), ("E74", with_s)]
+    cases += [(ident, {**with_s, "lam": F(1, 2)}) for ident in ("T9", "E77")]
+    cases += [(ident, {**point, "m": m}) for ident in ("T7", "E67") for m in (14, 3)]
+    for ident, params in cases:
+        result = verify(ident, 14, params)
+        assert result.equal, (ident, params)
+        if CATALOGUE[ident].tier == "audit":
+            assert result.derivation_form, (ident, params)
+            # T7's printed closing statement holds here only at m = n.
+            printed = ident != "T7" or params["m"] == 14
+            assert result.as_printed == printed, (ident, params)
+
+
 def test_audit_statuses():
     for ident in ("E54", "E55", "T6", "E60", "E61", "E67"):
         r = verify(ident, 3, k=1, a=F(2)) if ident != "E67" else verify(
