@@ -7,11 +7,13 @@ for cross-route checks, never the primary definition.
 
 Extracted polynomials are cached per parameter set.  A request for a degree
 n beyond the cached table rebuilds it at truncation order
-max(n + 1, 2 * order, 8), where order is the table's current order.
+max(n + 1, 2 * order, 8), where order is the table's current order.  Tables
+grow under a lock and are read without one.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 from .poly import Poly, Rational, X, as_fraction
@@ -100,6 +102,7 @@ def pc_hat_mixed_series(k: int, a: Rational, order: int) -> Series:
 # -- cached extraction -------------------------------------------------------
 
 _TABLES: dict[tuple, tuple[int, list[Poly]]] = {}
+_GROW_LOCK = threading.Lock()
 
 
 def _family_poly(key: tuple, builder, n: int) -> Poly:
@@ -107,10 +110,17 @@ def _family_poly(key: tuple, builder, n: int) -> Poly:
         raise ValueError("the family index n must be >= 0")
     order, polys = _TABLES.get(key, (0, []))
     if n >= order:
-        order = max(n + 1, 2 * order, 8)
-        gf = builder(order)
-        polys = [gf.egf_coefficient(i) for i in range(order)]
-        _TABLES[key] = (order, polys)
+        # Growth is serialised and starts from the table published last, so a
+        # stale smaller table never replaces a larger one.  Readers take no
+        # lock: each table is published with one assignment.  No builder looks
+        # up a family, so the lock is never taken twice by one thread.
+        with _GROW_LOCK:
+            order, polys = _TABLES.get(key, (0, []))
+            if n >= order:
+                order = max(n + 1, 2 * order, 8)
+                gf = builder(order)
+                polys = [gf.egf_coefficient(i) for i in range(order)]
+                _TABLES[key] = (order, polys)
     return polys[n]
 
 

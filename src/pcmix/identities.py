@@ -21,11 +21,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import families as fam
-from .poly import Poly, Rational, X, as_fraction, monomial
+from .poly import Poly, Rational, X, as_fraction, from_parts, monomial
 from .series import Series, binomial_pow, exp_neg_series, exp_series, log1p_scaled
 from .sheffer import operator_apply
 from .special import (
@@ -88,6 +89,14 @@ DEFAULT_GRID = Grid(
 # by degree and order only; the Lif logarithmic-derivative ratio (E54/E55),
 # one series inverse per (k, order); and the derivative remainder series, one
 # bivariate series product per (k, a) shared by T6, E60 and E61.
+#
+# Right sides are summed in integers, the way Poly stores its coefficients.
+# The quadratic and deeper scalar sums (the Stirling step, the T5/E48
+# quadruple sum, the point-value transforms of T8/E74, T9 and E77) bring
+# their inputs (point values, special numbers, powers of a = p/q and of lam)
+# to integer numerators over one denominator per check and build one
+# Fraction or one Poly, through from_parts, at the end.  _combine sums
+# polynomials with rational weights the same way, in one integer list.
 
 
 def _mixed(n: int, k: int, a: Fraction, hat: bool) -> Poly:
@@ -115,30 +124,80 @@ def _frobenius_basis(m: int, s: int, lam: Fraction) -> Poly:
     return Poly([comb(m, j) * frobenius_number(m - j, s, lam) for j in range(m + 1)])
 
 
-def _stirling_sum(n: int, m: int, a: Fraction, values: Sequence[Fraction]) -> Fraction:
-    # sum_{l=0}^{n-m} C(n, l) S1(n-l, m) a^-(n-l) values[l]: the umbral
-    # connection step through signed first-kind Stirling numbers, with values[l]
-    # a point value of the l-th family member (or a sum of them).  T3/T3H,
-    # T4/E41, T8/E74, T9, E77, T7/E67 and the printed tail of E54/E55 reach
-    # their right sides through it.  Empty, hence 0, when m > n.
-    total = Fraction(0)
-    for l in range(n - m + 1):
-        s1 = stirling1(n - l, m)
-        if s1:
-            total += comb(n, l) * s1 * a ** -(n - l) * values[l]
-    return total
+def _over_one_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    # Integer numerators of values over their least common denominator.
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _poly_over(nums: list[int], den: int) -> Poly:
+    # sum_j nums[j] x^j / den for a nonzero den of either sign.
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    return from_parts(nums, den)
+
+
+def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
+    # sum_i w_i p_i / den over the pairs (p_i, w_i), accumulated as one integer
+    # list over the lcm of the terms' denominators.
+    dens = [w.denominator * p.den for p, w in terms]
+    common = lcm(*dens)
+    acc = [0] * max((len(p.nums) for p, _ in terms), default=0)
+    for (p, w), d in zip(terms, dens):
+        w = w.numerator * (common // d)
+        for j, c in enumerate(p.nums):
+            acc[j] += w * c
+    return _poly_over(acc, common * den)
+
+
+def _member_values(members: Sequence[Poly], weights: Sequence[int]) -> tuple[list[int], int]:
+    # sum_j weights[j] [x^j] P for each member P, over one denominator; the
+    # weights (x0^j)_j give the point values P(x0) at an integer x0.
+    den = lcm(*(p.den for p in members))
+    values = [sum(map(mul, p.nums, weights)) * (den // p.den) for p in members]
+    return values, den
+
+
+def _powers(x: int, n: int) -> list[int]:
+    return [x**j for j in range(n + 1)]
+
+
+def _inverse_powers(top: int, k: int) -> tuple[list[int], int]:
+    # e^-k at index e = 1..top as integers over one denominator: lcm(1..top)^k
+    # when k > 0, and 1 when k <= 0, where e^-k is an integer already.
+    if k <= 0:
+        return [e**-k for e in range(top + 1)], 1
+    scale = lcm(*range(1, top + 1))
+    return [0] + [(scale // e) ** k for e in range(1, top + 1)], scale**k
+
+
+def _stirling_sum(
+    n: int, ms: Sequence[int], a: Fraction, values: Sequence[int], den: int
+) -> tuple[list[int], int]:
+    # For each m in ms, sum_{l=0}^{n-m} C(n, l) S1(n-l, m) a^-(n-l) values[l] / den:
+    # the umbral connection step through signed first-kind Stirling numbers,
+    # with values[l] a point value of the l-th family member (or a sum of
+    # them).  T3/T3H, T4/E41, T8/E74, T9, E77, T7/E67 and the printed tail of
+    # E54/E55 reach their right sides through it.  With a = p/q,
+    # a^-(n-l) = q^(n-l) p^l / p^n, so each sum is an integer dot product over
+    # the one denominator p^n den returned with the numerators (of either
+    # sign).  Empty, hence 0, when m > n.
+    p, q = a.numerator, a.denominator
+    weights = [comb(n, l) * q ** (n - l) * p**l * values[l] for l in range(n - min(ms) + 1)]
+    sums = [
+        sum(stirling1(n - l, m) * weights[l] for l in range(n - m + 1)) for m in ms
+    ]
+    return sums, p**n * den
 
 
 def _stirling_expansion(
-    n: int, a: Fraction, values: Sequence[Fraction], basis: Callable, signed: bool
+    n: int, a: Fraction, values: Sequence[int], den: int, basis: Callable, signed: bool
 ) -> Poly:
-    # sum_m c_m basis(m), c_m the Stirling sum over values, negated at odd m if signed.
-    rhs = Poly()
-    for m in range(n + 1):
-        c = _stirling_sum(n, m, a, values)
-        if c:
-            rhs = rhs + basis(m) * (-c if signed and m % 2 else c)
-    return rhs
+    # sum_m c_m basis(m), c_m the Stirling sum over values / den, negated at
+    # odd m if signed: one integer accumulation over one denominator.
+    sums, den = _stirling_sum(n, range(n + 1), a, values, den)
+    terms = [(basis(m), -c if signed and m % 2 else c) for m, c in enumerate(sums) if c]
+    return _combine(terms, den)
 
 
 def _series_order(n: int) -> int:
@@ -221,10 +280,7 @@ def _audited(lhs: Poly, printed: Poly, derived: Poly) -> dict:
 def _check_t1(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Theorem 1; with hat, equation (30).
     cauchy = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
-    rhs = Poly()
-    for l in range(n + 1):
-        w = Fraction(comb(n, l) * (-1) ** (n - l)) * a ** -l
-        rhs = rhs + cauchy(l, k) * w
+    rhs = _combine([(cauchy(l, k), comb(n, l) * (-1) ** (n - l) * a**-l) for l in range(n + 1)])
     return _plain(_mixed(n, k, a, hat), rhs)
 
 
@@ -232,37 +288,36 @@ def _check_p2(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Proposition 2; with hat, equation (31) re-indexed by l -> n-l.  The
     # first kind convolves with the Poisson-Charlier polynomials at -x.
     cauchy = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
-    rhs = Poly()
+    terms = []
     for l in range(n + 1):
         w = comb(n, l) * cauchy(n - l, k)(0) * a ** -(n - l)
         charlier = fam.poisson_charlier(l, a)
-        rhs = rhs + (charlier if hat else charlier.compose(-X)) * w
-    return _plain(_mixed(n, k, a, hat), rhs)
+        terms.append((charlier if hat else charlier.compose(-X), w))
+    return _plain(_mixed(n, k, a, hat), _combine(terms))
 
 
-def _stirling_triple_sum(
-    n: int, k: int, a: Fraction, hat: bool, offset: int
-) -> list[Fraction]:
-    # For each power j: the sum over m >= j and l of
+def _stirling_triple_sum(n: int, k: int, a: Fraction, hat: bool, offset: int) -> Poly:
+    # The coefficient of x^j is the sum over m >= j and l of
     # sign * C(n, l) * S1(n-l, m) * a^-(n-l) * C(m, j) * (m-j+offset)^(-k),
     # where the sign parity is l+j for the first kind and l+m+j for the second.
     # The l-sum is the Stirling sum over (-1)^l and does not depend on j.
     signs = [(-1) ** l for l in range(n + 1)]
-    inner = [(-1) ** (m * hat) * _stirling_sum(n, m, a, signs) for m in range(n + 1)]
+    sums, den = _stirling_sum(n, range(n + 1), a, signs, 1)
+    inner = [(-1) ** (m * hat) * c for m, c in enumerate(sums)]
+    powers, scale = _inverse_powers(n + offset, k)
     totals = []
     for j in range(n + 1):
-        total = Fraction(0)
-        for m in range(j, n + 1):
-            if inner[m]:
-                total += comb(m, j) * Fraction(m - j + offset) ** -k * inner[m]
+        total = sum(
+            comb(m, j) * powers[m - j + offset] * inner[m] for m in range(j, n + 1) if inner[m]
+        )
         totals.append(-total if j % 2 else total)
-    return totals
+    return _poly_over(totals, den * scale)
 
 
 def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
     """The explicit triple-sum formula for the first-kind mixed polynomial,
     or for the second-kind one when ``hat`` is true."""
-    return Poly(_stirling_triple_sum(n, k, as_fraction(a), hat, 1))
+    return _stirling_triple_sum(n, k, as_fraction(a), hat, 1)
 
 
 def _check_t3(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
@@ -272,41 +327,49 @@ def _check_t3(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
 
 def _check_t4(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Theorem 4; with hat, equation (41), which has no (-1)^l.
-    values = [_mixed(l, k, a, hat)(0) for l in range(n + 1)]
-    rhs = _stirling_expansion(n, a, values, monomial, not hat)
-    return _plain(_mixed(n, k, a, hat), rhs)
+    members = [_mixed(l, k, a, hat) for l in range(n + 1)]
+    values, den = _member_values(members, _powers(0, n))
+    rhs = _stirling_expansion(n, a, values, den, monomial, not hat)
+    return _plain(members[n], rhs)
 
 
 def _check_t5(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Theorem 5; with hat, equation (48).  The order-n Bernoulli expansions
     # of the two kinds differ only in the sign pattern and the overall (-1)^n.
+    # The coefficient of x^m is a^-n times the sum over r, l, j of
+    # sign * C(n-1, r) B_r^(n) a^l C(n-r, j+l) C(n-r-j-l, m) S2(j+l, l)
+    # (n-r-j-l-m+1)^-k, the sign parity l+m for the first kind and r+j+m for
+    # the second.  Summed in integers: B_r^(n) over one denominator, a^l as
+    # p^l q^(n-l) / q^n with a = p/q, and the powers of n-r-j-l-m+1 as
+    # _inverse_powers gives them; the q^n cancels against a^-n = q^n / p^n.
+    p, q = a.numerator, a.denominator
+    bernoulli, den = _over_one_den([bernoulli_order(r, n) for r in range(n)])
+    powers, scale = _inverse_powers(n + 1, k)
+    a_powers = [p**l * q ** (n - l) for l in range(n + 1)]
     coefs = []
     for m in range(n + 1):
-        total = Fraction(0)
-        for r in range(n - m + 1):
-            b_r = comb(n - 1, r)
-            if not b_r:
-                continue
-            w_r = b_r * bernoulli_order(r, n)
+        total = 0
+        # r = n would carry C(n-1, n) = 0.
+        for r in range(min(n - m, n - 1) + 1):
+            w_r = comb(n - 1, r) * bernoulli[r]
             for l in range(n - m - r + 1):
-                w_rl = w_r * a ** l
+                w_rl = w_r * a_powers[l]
                 for j in range(n - m - r - l + 1):
                     s2 = stirling2(j + l, l)
                     if not s2:
                         continue
-                    parity = (r + j + m) if hat else (l + m)
-                    sign = -1 if parity & 1 else 1
-                    total += (
-                        sign
-                        * w_rl
+                    term = (
+                        w_rl
                         * comb(n - r, j + l)
                         * comb(n - r - j - l, m)
                         * s2
-                        * Fraction(n - r - j - l - m + 1) ** -k
+                        * powers[n - r - j - l - m + 1]
                     )
+                    parity = (r + j + m) if hat else (l + m)
+                    total += -term if parity & 1 else term
         coefs.append(total)
-    scale = a ** -n * ((-1) ** n if hat else 1)
-    return _plain(_mixed(n, k, a, hat), Poly([c * scale for c in coefs]))
+    den *= scale * p**n * ((-1) ** n if hat else 1)
+    return _plain(_mixed(n, k, a, hat), _poly_over(coefs, den))
 
 
 def _check_e49(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
@@ -316,11 +379,10 @@ def _check_e49(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     step = Fraction(1 if hat else -1) / a
     for y in _y_samples(n):
         lhs = members[n].compose(Poly((y, 1)))
-        rhs = Poly()
-        for j in range(n + 1):
-            w = comb(n, j) * step ** (n - j) * _factorial_poly(n - j, hat)(y)
-            if w:
-                rhs = rhs + members[j] * w
+        rhs = _combine([
+            (members[j], comb(n, j) * step ** (n - j) * _factorial_poly(n - j, hat)(y))
+            for j in range(n + 1)
+        ])
         if lhs != rhs:
             return _outcome(False, lhs, rhs, note=f"first failing sample y = {y}")
     return _outcome(True, None, None)
@@ -344,61 +406,76 @@ def _check_e68(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Equation (68); with hat, equation (69), whose weights carry one more
     # factor of -1.
     lhs = _mixed(n, k, a, hat).derivative()
-    rhs = Poly()
     lead = Fraction(factorial(n) * (-1) ** n)
-    for l in range(n):
-        w = lead * Fraction((-1) ** (l + hat), (n - l) * factorial(l)) * a ** -(n - l)
-        rhs = rhs + _mixed(l, k, a, hat) * w
+    rhs = _combine([
+        (_mixed(l, k, a, hat),
+         lead * Fraction((-1) ** (l + hat), (n - l) * factorial(l)) * a ** -(n - l))
+        for l in range(n)
+    ])
     return _plain(lhs, rhs)
 
 
 def _check_t8(n: int, k: int, a: Fraction, s: int, *, hat: bool) -> dict:
     # Theorem 8 with first-kind Cauchy numbers; with hat, equation (74) with
     # second-kind ones and no (-1)^m.
+    # values[l] = sum_i C(l, i) a^-i C_i^(s) P_{l-i}(s), summed in integers
+    # with a^-i = q^i p^(n-i) / p^n for a = p/q.
+    members = [_mixed(l, k, a, hat) for l in range(n + 1)]
+    at_s, den = _member_values(members, _powers(s, n))
     cauchy = cauchy_second if hat else cauchy_first
-    at_s = [_mixed(l, k, a, hat)(s) for l in range(n + 1)]
+    weights, cauchy_den = _over_one_den([cauchy(i, s) for i in range(n + 1)])
+    p, q = a.numerator, a.denominator
+    weights = [w * q**i * p ** (n - i) for i, w in enumerate(weights)]
     values = [
-        sum(comb(l, i) * a ** -i * cauchy(i, s) * at_s[l - i] for i in range(l + 1))
-        for l in range(n + 1)
+        sum(comb(l, i) * weights[i] * at_s[l - i] for i in range(l + 1)) for l in range(n + 1)
     ]
-    rhs = _stirling_expansion(n, a, values, lambda m: _bernoulli_basis(m, s), not hat)
-    return _plain(_mixed(n, k, a, hat), rhs)
+    den *= cauchy_den * p**n
+    rhs = _stirling_expansion(n, a, values, den, lambda m: _bernoulli_basis(m, s), not hat)
+    return _plain(members[n], rhs)
 
 
 def _check_t9(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
     # The printed statement's binomial weight comb(l, i) disagrees with the
     # identity's own derivation, which carries comb(s, i); the derivation
     # form is the one that holds and is what this verifier implements.
-    at_s = [_mixed(l, k, a, False)(s) for l in range(n + 1)]
+    # values[l] = sum_i C(s, i) (l)_i step^i P_{l-i}(s), step = -lam/((1-lam) a),
+    # summed in integers over the step's denominator to the power s.
+    members = [_mixed(l, k, a, False) for l in range(n + 1)]
+    at_s, den = _member_values(members, _powers(s, n))
     step = -lam / ((1 - lam) * a)
+    sp, sq = step.numerator, step.denominator
+    weights = [comb(s, i) * sp**i * sq ** (s - i) for i in range(s + 1)]
     values = [
-        sum(comb(s, i) * perm(l, i) * step ** i * at_s[l - i] for i in range(min(s, l) + 1))
+        sum(perm(l, i) * weights[i] * at_s[l - i] for i in range(min(s, l) + 1))
         for l in range(n + 1)
     ]
-    rhs = _stirling_expansion(n, a, values, lambda m: _frobenius_basis(m, s, lam), True)
-    return _plain(_mixed(n, k, a, False), rhs)
+    den *= sq**s
+    rhs = _stirling_expansion(n, a, values, den, lambda m: _frobenius_basis(m, s, lam), True)
+    return _plain(members[n], rhs)
 
 
 def _check_e77(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
-    scale = (1 - lam) ** -s
+    # values[l] = (1-lam)^-s sum_i C(s, i) (-lam)^(s-i) P^_l(i).  With
+    # lam = u/v this is sum_j [x^j] P^_l * moments[j] / (v-u)^s, where
+    # moments[j] = sum_i C(s, i) (-u)^(s-i) v^i i^j is one integer per j.
     members = [_mixed(l, k, a, True) for l in range(n + 1)]
-    values = [
-        scale * sum(comb(s, i) * (-lam) ** (s - i) * p(i) for i in range(s + 1))
-        for p in members
-    ]
-    rhs = _stirling_expansion(n, a, values, lambda m: _frobenius_basis(m, s, lam), False)
-    return _plain(_mixed(n, k, a, True), rhs)
+    u, v = lam.numerator, lam.denominator
+    weights = [comb(s, i) * (-u) ** (s - i) * v**i for i in range(s + 1)]
+    moments = [sum(w * i**j for i, w in enumerate(weights)) for j in range(n + 1)]
+    values, den = _member_values(members, moments)
+    den *= (v - u) ** s
+    rhs = _stirling_expansion(n, a, values, den, lambda m: _frobenius_basis(m, s, lam), False)
+    return _plain(members[n], rhs)
 
 
 def _check_t10(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Theorem 10 over rising factorials; with hat, the remark after it, over
     # falling factorials.
     base = a if hat else -a
-    rhs = Poly()
-    for m in range(n + 1):
-        w = comb(n, m) * base ** -m * _mixed(n - m, k, a, hat)(0)
-        if w:
-            rhs = rhs + _factorial_poly(m, hat) * w
+    rhs = _combine([
+        (_factorial_poly(m, hat), comb(n, m) * base**-m * _mixed(n - m, k, a, hat)(0))
+        for m in range(n + 1)
+    ])
     return _plain(_mixed(n, k, a, hat), rhs)
 
 
@@ -419,7 +496,7 @@ def _check_e54(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # shifted by one.
     sign = -1 if hat else 1
     head = _recurrence_head(n + 1, k, a, hat)
-    tail = Poly(_stirling_triple_sum(n, k, a, hat, 2)).shifted(sign) * (1 / a)
+    tail = _stirling_triple_sum(n, k, a, hat, 2).shifted(sign) * (1 / a)
     printed = head - tail if hat else head + tail
     ratio = _lif_log_ratio(k, _series_order(n))
     split = operator_apply(ratio, _mixed_shifted(n, k, a, hat))
@@ -430,12 +507,11 @@ def _check_e54(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
 def _check_t6(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Theorem 6; with hat, equation (61).
     head = _recurrence_head(n, k, a, hat)
-    tail = Poly()
+    terms = []
     for l in range(n):
         w = comb(n, l) * cauchy_second(l, 1) * a ** -l
-        if w:
-            tail = tail + (_mixed(n - l, k - 1, a, hat) - _mixed(n - l, k, a, hat)) * w
-    printed = head + tail * Fraction(1, n)
+        terms += [(_mixed(n - l, k - 1, a, hat), w), (_mixed(n - l, k, a, hat), -w)]
+    printed = head + _combine(terms, n)
     remainder = _mixed_tail_series(k, a, _series_order(n), hat)
     derived = head + remainder.egf_coefficient(n - 1)
     return _audited(_mixed(n, k, a, hat), printed, derived)
@@ -443,14 +519,13 @@ def _check_t6(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
 
 def _check_e60(n: int, k: int, a: Fraction) -> dict:
     head = _recurrence_head(n, k, a, False)
-    tail = Poly()
+    terms = []
     for l in range(n):
         w = comb(n, l) * cauchy_first(l, 1) * a ** -l
-        if w:
-            tail = tail + (
-                _mixed_shifted(n - l, k - 1, a, False) - _mixed_shifted(n - l, k, a, False)
-            ) * w
-    printed = head + tail * Fraction(1, n)
+        terms += [
+            (_mixed_shifted(n - l, k - 1, a, False), w), (_mixed_shifted(n - l, k, a, False), -w)
+        ]
+    printed = head + _combine(terms, n)
     remainder = _mixed_tail_series(k, a, _series_order(n), False)
     derived = head + remainder.egf_coefficient(n - 1)
     return _audited(_mixed(n, k, a, False), printed, derived)
@@ -462,17 +537,14 @@ def _check_e62(n: int, k: int, a: Fraction) -> dict:
     # restores n-l.
     head = _recurrence_head(n, k, a, True)
     fixed = _mixed_shifted(n - 1, k - 1, a, True)
-    printed_tail = Poly()
-    derived_tail = Poly()
+    printed_terms, derived_terms = [], []
     for l in range(n):
         w = comb(n, l) * cauchy_first(l, 1) * a ** -l
-        if not w:
-            continue
-        lower = _mixed_shifted(n - l, k, a, True)
-        printed_tail = printed_tail + (fixed - lower) * w
-        derived_tail = derived_tail + (_mixed_shifted(n - l, k - 1, a, True) - lower) * w
-    printed = head + printed_tail * Fraction(1, n)
-    derived = head + derived_tail * Fraction(1, n)
+        lower = (_mixed_shifted(n - l, k, a, True), -w)
+        printed_terms += [(fixed, w), lower]
+        derived_terms += [(_mixed_shifted(n - l, k - 1, a, True), w), lower]
+    printed = head + _combine(printed_terms, n)
+    derived = head + _combine(derived_terms, n)
     return _audited(_mixed(n, k, a, True), printed, derived)
 
 
@@ -480,19 +552,24 @@ def _check_t7(n: int, m: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # Two evaluations of < exp(-t) Lif_k(sgn log(1+t/a)) (log(1+t/a))^m | x^n >:
     # the theorem after equation (66) for the second kind, equation (67) for
     # the first.
-    edge = Fraction(-1) if hat else Fraction(1)
+    edge = -1 if hat else 1
 
-    def moment(q: int, j: int, kk: int, x0: Fraction) -> Fraction:
-        # sum_l j! a^(l-q) C(q, l) S1(q-l, j) P_l^(kk)(x0); 0 when j > q.
-        values = [_mixed(l, kk, a, hat)(x0) for l in range(q - j + 1)]
-        return factorial(j) * _stirling_sum(q, j, a, values)
+    def at(kk: int, x0: int) -> tuple[list[int], int]:
+        # P_l^(kk)(x0) for l = 0..n-m, every index the moments below read.
+        return _member_values([_mixed(l, kk, a, hat) for l in range(n - m + 1)], _powers(x0, n))
 
-    direct = moment(n, m, k, Fraction(0))
+    def moment(q: int, j: int, values: tuple[list[int], int]) -> Fraction:
+        # sum_l j! a^(l-q) C(q, l) S1(q-l, j) P_l(x0); 0 when j > q.
+        (total,), den = _stirling_sum(q, (j,), a, *values)
+        return factorial(j) * Fraction(total, den)
+
+    at_zero = at(k, 0)
+    direct = moment(n, m, at_zero)
     # At m = n the lowered moment is the empty sum.
-    lowered = moment(n - 1, m, k, Fraction(0))
+    lowered = moment(n - 1, m, at_zero)
     # The edge terms weigh the (m-1)-th moment by m!/a in place of (m-1)!.
-    edge_k = moment(n - 1, m - 1, k, edge) * m / a
-    edge_km1 = moment(n - 1, m - 1, k - 1, edge) * m / a
+    edge_k = moment(n - 1, m - 1, at(k, edge)) * m / a
+    edge_km1 = moment(n - 1, m - 1, at(k - 1, edge)) * m / a
     chained = -lowered + Fraction(m - 1, m) * edge_k + Fraction(1, m) * edge_km1
     derivation = direct == chained
     # For the second kind the printed final statement repeats superscript k

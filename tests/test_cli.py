@@ -184,6 +184,15 @@ def test_verify_all_output_bytes_are_pinned():
     assert digest == "128024219284c8e41389e834d66d4c55f15e394c5a53fd747986d21715723816"
 
 
+def test_default_grid_output_bytes_are_pinned():
+    # The whole default grid (24,060 checks): every identity at every degree
+    # up to 10, so a rewritten right side that breaks only past n = 3 shows.
+    result = run_cli("verify", "--ids", "all", "--n-max", "10", "--format", "json")
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == "2ffbc4cc8dae9de38f951a71a2b97213d165dd72172fb590e3c65add39911011"
+
+
 def test_table_output_bytes_are_pinned():
     # Deep rows of a mixed family go through every series product of the
     # generating function; the digest pins the exact coefficients and layout.

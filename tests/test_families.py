@@ -1,7 +1,10 @@
+import threading
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from pcmix import families
 from pcmix.families import (
     bernoulli_poly,
     catalogue_pairs,
@@ -136,3 +139,49 @@ def test_hat_k_zero_collapse():
 def test_hat_series_extraction_consistency():
     gf = pc_hat_mixed_series(1, F(1), 6)
     assert gf.egf_coefficient(3) == pc_hat_mixed(3, 1, F(1))
+
+
+def test_family_table_never_shrinks_under_threads(monkeypatch):
+    # A request for degree 30 builds order 31 while a second thread, which
+    # read the still-empty table, asks for degree 5.  The gated builder holds
+    # the large build until the small one has started, and the small build
+    # until the large table is out, so without serialised growth the order-8
+    # table is published last.  Every wait has a timeout: with growth under a
+    # lock the small request waits for the lock and then finds order 31.
+    a = F(11, 13)  # unseen, so its table starts empty
+    key = ("charlier", a)
+    build = families.poisson_charlier_series
+    big_started, small_started = threading.Event(), threading.Event()
+
+    def gated(a_, order):
+        if order > 8:
+            big_started.set()
+            small_started.wait(timeout=1)
+        else:
+            small_started.set()
+            deadline = time.monotonic() + 1
+            while families._TABLES.get(key, (0, []))[0] <= 8 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return build(a_, order)
+
+    monkeypatch.setattr(families, "poisson_charlier_series", gated)
+    served = {}
+
+    def large():
+        served[30] = poisson_charlier(30, a)
+
+    def small():
+        if big_started.wait(timeout=5):
+            served[5] = poisson_charlier(5, a)
+
+    pool = [threading.Thread(target=large), threading.Thread(target=small)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in pool)
+    assert sorted(served) == [5, 30]
+    reference = build(a, 31)
+    assert all(served[n] == reference.egf_coefficient(n) for n in served)
+    # The table published last must still cover the largest degree served.
+    assert families._TABLES[key][0] > 30

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
+from pcmix import identities
 from pcmix.cli import main
 from pcmix.families import mixed_pair, pc_hat_mixed, pc_mixed, rising_pair
 from pcmix.identities import (
@@ -91,6 +93,43 @@ def test_stirling_sum_verifiers_beyond_default_degree():
             # T7's printed closing statement holds here only at m = n.
             printed = ident != "T7" or params["m"] == 14
             assert result.as_printed == printed, (ident, params)
+
+
+def test_bernoulli_expansions_beyond_default_degree():
+    # k = 3 scales the powers of n-r-j-l-m+1 by lcm(1..14)^3, and n = 13 with
+    # a = -5/2 puts an odd power of a negative numerator in the denominator.
+    for ident in ("T5", "E48"):
+        assert verify(ident, 13, k=3, a=F(-5, 2)).equal, ident
+
+
+def test_right_sides_read_their_inputs(monkeypatch):
+    # A right side that compared something trivially equal would survive a
+    # wrong input.  Change one Stirling number as this module sees it, then
+    # one lower family member: every checker that reads it must fail.
+    point = {"k": 2, "a": F(3, 7)}
+    cases = {"T5": point, "E48": point}
+    cases.update(dict.fromkeys(("T8", "E74"), {**point, "s": 2}))
+    cases.update(dict.fromkeys(("T9", "E77"), {**point, "s": 2, "lam": F(1, 2)}))
+    for ident, params in cases.items():
+        assert verify(ident, 6, params).equal, ident
+
+    def off_by_one(table):
+        return lambda n, k: table(n, k) + ((n, k) == (3, 1))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "stirling1", off_by_one(identities.stirling1))
+        patch.setattr(identities, "stirling2", off_by_one(identities.stirling2))
+        for ident, params in cases.items():
+            assert not verify(ident, 6, params).equal, ident
+
+    # T5 and E48 read no family member but the left side.
+    lower = SimpleNamespace(
+        pc_mixed=lambda n, k, a: pc_mixed(n, k, a) + (n == 2),
+        pc_hat_mixed=lambda n, k, a: pc_hat_mixed(n, k, a) + (n == 2),
+    )
+    monkeypatch.setattr(identities, "fam", lower)
+    for ident in ("T8", "E74", "T9", "E77"):
+        assert not verify(ident, 6, cases[ident]).equal, ident
 
 
 def test_audit_statuses():
