@@ -5,16 +5,16 @@ coefficient extraction from the product-form generating function.  The
 Sheffer pairs returned by the ``*_pair`` builders are derived objects used
 for cross-route checks, never the primary definition.
 
-Extracted polynomials are cached per parameter set.  A request for a degree
-n beyond the cached table rebuilds it at truncation order
-max(n + 1, 2 * order, 8), where order is the table's current order.  Tables
-grow under a lock and are read without one.
+Extracted polynomials are kept in one table per parameter set, grown
+through ``special.grown``.  A request for a degree n beyond the table builds
+the generating function at truncation order max(n + 1, 2 * order, 8), where
+order is the table's current length, and appends the members it lacks.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from typing import Callable
 
 from .poly import Poly, Rational, X, as_fraction
 from .series import (
@@ -28,7 +28,7 @@ from .series import (
     t_series,
 )
 from .sheffer import ShefferPair
-from .special import lif_series
+from .special import grown, lif_series
 
 
 def _check_a(a: Rational) -> Fraction:
@@ -101,27 +101,19 @@ def pc_hat_mixed_series(k: int, a: Rational, order: int) -> Series:
 
 # -- cached extraction -------------------------------------------------------
 
-_TABLES: dict[tuple, tuple[int, list[Poly]]] = {}
-_GROW_LOCK = threading.Lock()
+_TABLES: dict[tuple, list[Poly]] = {}
 
 
-def _family_poly(key: tuple, builder, n: int) -> Poly:
+def _family_poly(key: tuple, builder: Callable[[int], Series], n: int) -> Poly:
+    # Member n of the table under key, extracted from builder(order).
     if n < 0:
         raise ValueError("the family index n must be >= 0")
-    order, polys = _TABLES.get(key, (0, []))
-    if n >= order:
-        # Growth is serialised and starts from the table published last, so a
-        # stale smaller table never replaces a larger one.  Readers take no
-        # lock: each table is published with one assignment.  No builder looks
-        # up a family, so the lock is never taken twice by one thread.
-        with _GROW_LOCK:
-            order, polys = _TABLES.get(key, (0, []))
-            if n >= order:
-                order = max(n + 1, 2 * order, 8)
-                gf = builder(order)
-                polys = [gf.egf_coefficient(i) for i in range(order)]
-                _TABLES[key] = (order, polys)
-    return polys[n]
+
+    def extend(polys: list[Poly], n: int) -> None:
+        gf = builder(max(n + 1, 2 * len(polys), 8))
+        polys += map(gf.egf_coefficient, range(len(polys), gf.order))
+
+    return grown(_TABLES, key, n, extend)[n]
 
 
 def poisson_charlier(n: int, a: Rational) -> Poly:

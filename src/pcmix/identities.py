@@ -83,12 +83,12 @@ DEFAULT_GRID = Grid(
 #
 # ``hat`` is False for the first-kind mixed family and True for the second.
 # Members and their point values are looked up through the families module at
-# call time: its extraction tables are their only cache.  Four memos remain,
-# each for a value many grid points share that costs far more than a lookup:
-# the Bernoulli basis (T8/E74) and the Frobenius-Euler basis (T9/E77), keyed
-# by degree and order only; the Lif logarithmic-derivative ratio (E54/E55),
-# one series inverse per (k, order); and the derivative remainder series, one
-# bivariate series product per (k, a) shared by T6, E60 and E61.
+# call time: its extraction tables are their only cache.  The derivative
+# remainder shared by T6, E60 and E61 is read the same way, from a table of
+# its own.  Three memos remain, each for a value many grid points share that
+# costs far more than a lookup: the Bernoulli basis (T8/E74) and the
+# Frobenius-Euler basis (T9/E77), keyed by degree and order only, and the Lif
+# logarithmic-derivative ratio (E54/E55), one series inverse per (k, order).
 #
 # Right sides are summed in integers, the way Poly stores its coefficients.
 # The quadratic and deeper scalar sums (the Stirling step, the T5/E48
@@ -200,13 +200,6 @@ def _stirling_expansion(
     return _combine(terms, den)
 
 
-def _series_order(n: int) -> int:
-    order = 14
-    while order < n + 5:
-        order *= 2
-    return order
-
-
 @lru_cache(maxsize=None)
 def _lif_log_ratio(k: int, order: int) -> Series:
     # Lif_k'(-t) / Lif_k(-t): the logarithmic-derivative factor the operator
@@ -215,8 +208,7 @@ def _lif_log_ratio(k: int, order: int) -> Series:
     return prime_neg * lif_series(k, order).scale_t(-1).inverse()
 
 
-@lru_cache(maxsize=None)
-def _mixed_tail_series(k: int, a: Fraction, order: int, hat: bool) -> Series:
+def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
     # exp(-t) * d/dt[Lif_k(+-log(1+t/a))] * (1+t/a)^(-+x), upper signs for the
     # first kind: the product-rule remainder term in the derivative-functional
     # split of the mixed generating function.
@@ -226,6 +218,12 @@ def _mixed_tail_series(k: int, a: Fraction, order: int, hat: bool) -> Series:
     lif_log = lif_series(k, order + 1).compose(log)
     power = binomial_pow(a, X if hat else -X, order)
     return exp_neg_series(order) * lif_log.derivative() * power
+
+
+def _mixed_tail(n: int, k: int, a: Fraction, hat: bool) -> Poly:
+    # The egf coefficient n of the remainder series, from a family table.
+    builder = partial(_mixed_tail_series, k, a, hat)
+    return fam._family_poly(("mixed-tail", k, a, hat), builder, n)
 
 
 def _y_samples(n: int) -> list[Fraction]:
@@ -498,7 +496,7 @@ def _check_e54(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     head = _recurrence_head(n + 1, k, a, hat)
     tail = _stirling_triple_sum(n, k, a, hat, 2).shifted(sign) * (1 / a)
     printed = head - tail if hat else head + tail
-    ratio = _lif_log_ratio(k, _series_order(n))
+    ratio = _lif_log_ratio(k, n + 1)
     split = operator_apply(ratio, _mixed_shifted(n, k, a, hat))
     derived = head + split * (Fraction(sign) / a)
     return _audited(_mixed(n + 1, k, a, hat), printed, derived)
@@ -512,8 +510,7 @@ def _check_t6(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
         w = comb(n, l) * cauchy_second(l, 1) * a ** -l
         terms += [(_mixed(n - l, k - 1, a, hat), w), (_mixed(n - l, k, a, hat), -w)]
     printed = head + _combine(terms, n)
-    remainder = _mixed_tail_series(k, a, _series_order(n), hat)
-    derived = head + remainder.egf_coefficient(n - 1)
+    derived = head + _mixed_tail(n - 1, k, a, hat)
     return _audited(_mixed(n, k, a, hat), printed, derived)
 
 
@@ -526,8 +523,7 @@ def _check_e60(n: int, k: int, a: Fraction) -> dict:
             (_mixed_shifted(n - l, k - 1, a, False), w), (_mixed_shifted(n - l, k, a, False), -w)
         ]
     printed = head + _combine(terms, n)
-    remainder = _mixed_tail_series(k, a, _series_order(n), False)
-    derived = head + remainder.egf_coefficient(n - 1)
+    derived = head + _mixed_tail(n - 1, k, a, False)
     return _audited(_mixed(n, k, a, False), printed, derived)
 
 
@@ -878,21 +874,16 @@ def verify(identity: str, n: int, params: Mapping | None = None, **kwargs) -> Ve
     return VerificationResult(identity, n, canonical, **fields)
 
 
-def _result_key(result: VerificationResult):
-    params_key = tuple(
-        sorted((name, as_fraction(value)) for name, value in result.params.items())
-    )
-    return (result.identity, params_key, result.n)
-
-
 def verify_grid(
     ids: Iterable[str], n_max: int, grid: Grid | None = None
 ) -> list[VerificationResult]:
     """Exhaustively verify the given identities over a parameter grid.
 
-    Results come back in a deterministic order, lexicographic in
-    (identity, parameters, n), independent of evaluation order.  A repeated
-    identity or grid value raises ParameterError instead of checking twice.
+    Results come in one canonical order, independent of the order of the
+    identities and grid values given: identities sorted, then parameters
+    lexicographic in (name, value), with m before n for T7/E67, then n.  A
+    repeated identity or grid value raises ParameterError instead of checking
+    twice.
     """
     grid = grid or DEFAULT_GRID
     ids = tuple(ids)
@@ -904,20 +895,22 @@ def verify_grid(
             if value in values[:i]:
                 raise ParameterError(f"{axis!r} lists {value} twice")
     results: list[VerificationResult] = []
-    for identity in ids:
+    for identity in sorted(ids):
         info = CATALOGUE.get(identity)
         if info is None:
             raise ParameterError(f"unknown identity {identity!r}")
-        plain_axes = [axis for axis in info.axes if axis != "m"]
-        for combo in itertools.product(*(axis_values[axis] for axis in plain_axes)):
+        plain_axes = sorted(axis for axis in info.axes if axis != "m")
+        ordered = (sorted(axis_values[axis], key=as_fraction) for axis in plain_axes)
+        for combo in itertools.product(*ordered):
             base = dict(zip(plain_axes, combo))
-            for n in range(info.n_min, n_max + 1):
-                if "m" in info.axes:
-                    for m in range(1, n + 1):
+            if "m" in info.axes:
+                # m sorts after a and k, the other axes of T7/E67.
+                for m in range(1, n_max + 1):
+                    for n in range(max(info.n_min, m), n_max + 1):
                         results.append(verify(identity, n, {**base, "m": m}))
-                else:
+            else:
+                for n in range(info.n_min, n_max + 1):
                     results.append(verify(identity, n, base))
-    results.sort(key=_result_key)
     return results
 
 

@@ -2,30 +2,58 @@
 
 Everything here is deliberately independent of the series kernel: Stirling
 numbers come from their triangular recurrences, and the Cauchy, Bernoulli
-and Frobenius-Euler numbers come from Stirling-based closed forms plus
-sequence convolution.  That makes these values usable as oracles against
-generating-function extraction, and the identity verifiers build their
-right-hand sides from this module only.
+and Frobenius-Euler numbers come from Stirling-based closed forms raised to
+any order by J. C. P. Miller's power recurrence.  That makes these values
+usable as oracles against generating-function extraction, and the identity
+verifiers build their right-hand sides from this module only.
+
+Every shared table in pcmix (the Stirling rows and convolution powers here,
+the family members in ``families``) is a list grown through ``grown``, the
+one place that holds the concurrency argument.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
-from typing import Callable
+from typing import Callable, Hashable
 
 from .poly import Poly, Rational, as_fraction
 from .series import Series
+
+_GROW_LOCK = threading.RLock()
+
+
+def grown(store: dict, key: Hashable, n: int, extend: Callable[[list, int], None]) -> list:
+    """The list published under ``key`` in ``store``, grown to cover index n.
+
+    Reads take no lock.  Growth is serialised by one lock and starts from the
+    list published last: ``extend(values, n)`` appends to a copy of it until
+    index n exists, and the copy is published with one assignment.  A reader
+    therefore sees the old list or the grown one, never a half-grown one, and
+    no thread replaces a list with a shorter one.  The lock is reentrant
+    because extending one table may grow another (a power table reads
+    Stirling rows); ``extend`` must not grow its own key.
+    """
+    values = store.get(key, ())
+    if len(values) > n:
+        return values
+    with _GROW_LOCK:
+        values = list(store.get(key, ()))
+        if len(values) <= n:
+            extend(values, n)
+            store[key] = values
+    return values
 
 
 class StirlingTable:
     """Triangular table of Stirling numbers, grown on demand.
 
     kind "first" holds the signed first kind (coefficients of the falling
-    factorial); kind "second" the usual second kind.  Rows already computed
-    are kept, so enlarging the table extends rather than rebuilds.
+    factorial); kind "second" the usual second kind.  ``rows`` is the table
+    published last; enlarging it extends rather than rebuilds.
     """
 
     def __init__(self, kind: str):
@@ -33,32 +61,23 @@ class StirlingTable:
             raise ValueError(f"unknown Stirling kind {kind!r}")
         self.kind = kind
         self.rows: list[list[int]] = [[1]]
-        self._grow_lock = threading.Lock()
 
     def value(self, n: int, k: int) -> int:
         if n < 0 or k < 0 or k > n:
             raise ValueError(f"Stirling numbers need 0 <= k <= n, got ({n}, {k})")
-        rows = self.rows
-        if len(rows) <= n:
-            # Growth is serialised and starts from the table published last,
-            # so a stale shorter copy never replaces a longer one.  Readers
-            # take no lock: the grown copy is published with one assignment.
-            with self._grow_lock:
-                rows = list(self.rows)
-                while len(rows) <= n:
-                    m = len(rows) - 1
-                    prev = rows[-1]
-                    row = [0] * (m + 2)
-                    for j in range(m + 2):
-                        lower = prev[j - 1] if 1 <= j <= m + 1 else 0
-                        same = prev[j] if j <= m else 0
-                        if self.kind == "first":
-                            row[j] = lower - m * same
-                        else:
-                            row[j] = lower + j * same
-                    rows.append(row)
-                self.rows = rows
-        return rows[n][k]
+        # The instance's attribute dict is the store, so ``rows`` is published.
+        return grown(vars(self), "rows", n, self._extend)[n][k]
+
+    def _extend(self, rows: list[list[int]], n: int) -> None:
+        # Row m+1 from row m: S(m+1, j) = S(m, j-1) - m S(m, j) for the first
+        # kind and S(m, j-1) + j S(m, j) for the second.
+        first = self.kind == "first"
+        while len(rows) <= n:
+            m = len(rows) - 1
+            prev = rows[-1] + [0]
+            rows.append([
+                (prev[j - 1] if j else 0) + (-m if first else j) * prev[j] for j in range(m + 2)
+            ])
 
 
 _S1_TABLE = StirlingTable("first")
@@ -99,53 +118,39 @@ def rising_poly(n: int) -> Poly:
 
 # -- convolution powers of ordinary coefficient sequences -------------------
 
-_POWER_CACHE: dict[tuple, tuple[tuple[Fraction, ...], ...]] = {}
-_POWER_GROW_LOCK = threading.Lock()
+_POWERS: dict[tuple, list[Fraction]] = {}
 
 
 def _convolution_power(key: tuple, base: Callable[[int], Fraction], r: int, n: int) -> Fraction:
     """Ordinary coefficient n of the r-th convolution power of ``base``.
 
-    Row r of the table under ``key`` holds the r-th power; row 1 is ``base``
-    itself, so each base value is computed once.  All rows have one length.
-    Growth is serialised and starts from the table published last, so no
-    table replaces one that is larger in either dimension; the grown copy is
-    published with one assignment, so lock-free readers never see a
-    half-grown row.
+    Every base here starts with b_0 = 1.  Each (key, r) has one list; the list
+    for r = 1 holds the base values, so each is computed once.  The others
+    grow one coefficient at a time by J. C. P. Miller's power recurrence
+    m c_m = sum_{j=1..m} ((r+1) j - m) b_j c_{m-j} (Knuth, TAOCP vol. 2,
+    section 4.7), which gives c_m = [m == 0] at r = 0.
     """
-    powers = _POWER_CACHE.get(key)
-    if powers is not None and len(powers) > r and len(powers[0]) > n:
-        return powers[r][n]
-    with _POWER_GROW_LOCK:
-        powers = _POWER_CACHE.get(key)
-        rows = [list(row) for row in powers] if powers else [[], []]
-        rows += [[] for _ in range(r + 1 - len(rows))]
-        size = max(n + 1, len(rows[0]))
-        for rank, row in enumerate(rows):
-            for m in range(len(row), size):
-                if rank == 0:
-                    row.append(Fraction(1) if m == 0 else Fraction(0))
-                elif rank == 1:
-                    row.append(base(m))
-                else:
-                    prev, first = rows[rank - 1], rows[1]
-                    row.append(sum((prev[i] * first[m - i] for i in range(m + 1)), Fraction(0)))
-        _POWER_CACHE[key] = tuple(tuple(row) for row in rows)
-    return rows[r][n]
+
+    def extend_base(b: list[Fraction], n: int) -> None:
+        b += map(base, range(len(b), n + 1))
+
+    def extend_power(c: list[Fraction], n: int) -> None:
+        b = grown(_POWERS, (key, 1), n, extend_base)
+        for m in range(len(c), n + 1):
+            terms = (((r + 1) * j - m) * b[j] * c[m - j] for j in range(1, m + 1))
+            c.append(sum(terms, Fraction(0)) / m if m else Fraction(1))
+
+    return grown(_POWERS, (key, r), n, extend_base if r == 1 else extend_power)[n]
 
 
-def _cauchy_first_base(n: int) -> Fraction:
-    # [t^n] t/log(1+t) via the integral of the binomial series:
-    # (1/n!) * sum_l S1(n, l) / (l + 1).
-    total = sum((Fraction(stirling1(n, l), l + 1) for l in range(n + 1)), Fraction(0))
-    return total / factorial(n)
-
-
-def _cauchy_second_base(n: int) -> Fraction:
-    # [t^n] t/((1+t)log(1+t)): same integral shifted by one,
-    # (1/n!) * sum_l S1(n, l) * (-1)^l / (l + 1).
+def _cauchy_base(n: int, second: bool) -> Fraction:
+    # [t^n] t/log(1+t) via the integral of the binomial series,
+    # (1/n!) * sum_l S1(n, l) / (l + 1); for the second kind,
+    # [t^n] t/((1+t)log(1+t)), the same integral shifted by one, which puts
+    # (-1)^l in each term.
     total = sum(
-        (Fraction(stirling1(n, l) * (-1) ** l, l + 1) for l in range(n + 1)), Fraction(0)
+        (Fraction(stirling1(n, l) * (-1) ** (l * second), l + 1) for l in range(n + 1)),
+        Fraction(0),
     )
     return total / factorial(n)
 
@@ -164,14 +169,16 @@ def cauchy_first(n: int, r: int) -> Fraction:
     """Cauchy number of the first kind with order r."""
     if n < 0 or r < 0:
         raise ValueError("Cauchy numbers need n >= 0 and r >= 0")
-    return factorial(n) * _convolution_power(("cauchy1",), _cauchy_first_base, r, n)
+    base = partial(_cauchy_base, second=False)
+    return factorial(n) * _convolution_power(("cauchy1",), base, r, n)
 
 
 def cauchy_second(n: int, r: int) -> Fraction:
     """Cauchy number of the second kind with order r."""
     if n < 0 or r < 0:
         raise ValueError("Cauchy numbers need n >= 0 and r >= 0")
-    return factorial(n) * _convolution_power(("cauchy2",), _cauchy_second_base, r, n)
+    base = partial(_cauchy_base, second=True)
+    return factorial(n) * _convolution_power(("cauchy2",), base, r, n)
 
 
 def bernoulli_order(n: int, r: int) -> Fraction:
@@ -185,7 +192,8 @@ def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
     """Frobenius-Euler number of order r at parameter lam (lam != 1).
 
     The order-1 values come from the closed form
-    H_n = sum_j (-1)^j j! S2(n, j) / (1 - lam)^j; higher orders by convolution.
+    H_n = sum_j (-1)^j j! S2(n, j) / (1 - lam)^j; higher orders by Miller's
+    power recurrence.
     """
     if n < 0 or r < 0:
         raise ValueError("Frobenius-Euler numbers need n >= 0 and r >= 0")

@@ -78,21 +78,25 @@ def test_t3_is_independent_route():
 def test_stirling_sum_verifiers_beyond_default_degree():
     # n = 14 lies past the default grid's n_max of 10; the point mixes a
     # negative k, a negative non-integer a, s > 1 and a lambda off the
-    # integers.  T7/E67 at m = n reach the empty lowered moment.
+    # integers.  T7/E67 at m = n reach the empty lowered moment.  The T6,
+    # E60 and E61 remainder is read from a family table, so n = 9, 10 and 17
+    # read coefficients 8, 9 and 16, across the table's growth from order 8
+    # to 16 to 32.
     point = {"k": -2, "a": F(-5, 2)}
     with_s = {**point, "s": 2}
-    cases = [(ident, point) for ident in ("T3", "T3H", "T4", "E41", "E54", "E55")]
-    cases += [("T8", with_s), ("E74", with_s)]
-    cases += [(ident, {**with_s, "lam": F(1, 2)}) for ident in ("T9", "E77")]
-    cases += [(ident, {**point, "m": m}) for ident in ("T7", "E67") for m in (14, 3)]
-    for ident, params in cases:
-        result = verify(ident, 14, params)
-        assert result.equal, (ident, params)
+    cases = [(ident, 14, point) for ident in ("T3", "T3H", "T4", "E41", "E54", "E55")]
+    cases += [("T8", 14, with_s), ("E74", 14, with_s)]
+    cases += [(ident, 14, {**with_s, "lam": F(1, 2)}) for ident in ("T9", "E77")]
+    cases += [(ident, 14, {**point, "m": m}) for ident in ("T7", "E67") for m in (14, 3)]
+    cases += [(ident, n, point) for ident in ("T6", "E60", "E61") for n in (9, 10, 17)]
+    for ident, n, params in cases:
+        result = verify(ident, n, params)
+        assert result.equal, (ident, n, params)
         if CATALOGUE[ident].tier == "audit":
-            assert result.derivation_form, (ident, params)
+            assert result.derivation_form, (ident, n, params)
             # T7's printed closing statement holds here only at m = n.
-            printed = ident != "T7" or params["m"] == 14
-            assert result.as_printed == printed, (ident, params)
+            printed = ident != "T7" or params["m"] == n
+            assert result.as_printed == printed, (ident, n, params)
 
 
 def test_bernoulli_expansions_beyond_default_degree():
@@ -152,16 +156,21 @@ def test_verify_grid_singleton():
 
 
 def test_verify_grid_ordering_is_deterministic():
+    # Identities and every axis are given out of order; T9 has all four
+    # axes, and T7 has m, which sorts before n.
     grid = Grid(
-        a_values=(F(2), F(1)), k_values=(1, 0), s_values=(0,), lam_values=(F(2),)
+        a_values=(F(2), F(-1, 2), F(1)), k_values=(1, -1, 0), s_values=(2, 0),
+        lam_values=(F(2), F(-1)),
     )
-    twice = [verify_grid(("P2", "T1"), 2, grid) for _ in range(2)]
+    twice = [verify_grid(("T9", "P2", "T7", "T1"), 3, grid) for _ in range(2)]
     keys = [
         [(r.identity, tuple(sorted(r.params.items())), r.n) for r in run]
         for run in twice
     ]
     assert keys[0] == keys[1]
     assert keys[0] == sorted(keys[0])
+    # T1 and P2: 9 points x 4 degrees; T7: 9 x 6 (n, m) pairs; T9: 36 x 4.
+    assert len(set(keys[0])) == len(keys[0]) == 2 * 36 + 54 + 144
 
 
 def test_parameter_domain_errors():

@@ -5,10 +5,10 @@ from math import comb, factorial
 
 import pytest
 
+from pcmix import special
 from pcmix.poly import Poly, X
 from pcmix.series import exp_series, log1p_scaled, one_series, t_series
 from pcmix.special import (
-    _POWER_CACHE,
     StirlingTable,
     bernoulli_order,
     cauchy_first,
@@ -180,6 +180,55 @@ def test_frobenius_number_against_series():
         frobenius_number(2, 1, 1)
 
 
+def _reciprocal(s):
+    # 1/s as a truncated ordinary series, for s[0] == 1.
+    inv = [F(1)]
+    for m in range(1, len(s)):
+        inv.append(-sum(s[j] * inv[m - j] for j in range(1, m + 1)))
+    return inv
+
+
+def _convolve(p, q):
+    return [sum(p[i] * q[m - i] for i in range(m + 1)) for m in range(len(p))]
+
+
+def _power(base, r):
+    # base^r by repeated squaring of truncated convolutions.
+    result = [F(1)] + [F(0)] * (len(base) - 1)
+    while r:
+        if r & 1:
+            result = _convolve(result, base)
+        base = _convolve(base, base)
+        r >>= 1
+    return result
+
+
+def test_number_powers_match_repeated_squaring(monkeypatch):
+    # Each base is the reciprocal of a series with constant term 1:
+    # log(1+t)/t, (1+t)log(1+t)/t, (exp(t)-1)/t and (exp(t)-lam)/(1-lam).
+    size, ranks, lam = 25, (0, 1, 2, 37), F(-3, 4)
+    log_ratio = [F((-1) ** n, n + 1) for n in range(size)]
+    cases = [
+        (cauchy_first, log_ratio),
+        (cauchy_second, [F(1)] + [log_ratio[n] + log_ratio[n - 1] for n in range(1, size)]),
+        (bernoulli_order, [F(1, factorial(n + 1)) for n in range(size)]),
+        (
+            lambda n, r: frobenius_number(n, r, lam),
+            [F(1)] + [F(1, factorial(n)) / (1 - lam) for n in range(1, size)],
+        ),
+    ]
+    points = [(r, n) for r in ranks for n in range(size)]
+    # 37 is prime to the 100 points, so this visits each once, out of order.
+    interleaved = [points[i * 37 % len(points)] for i in range(len(points))]
+    for number, denominator in cases:
+        base = _reciprocal(denominator)
+        expected = {r: _power(base, r) for r in ranks}
+        for order in (points, points[::-1], interleaved):
+            monkeypatch.setattr(special, "_POWERS", {})  # every order grows its own tables
+            for r, n in order:
+                assert number(n, r) == factorial(n) * expected[r][n], (number, r, n)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         cauchy_first(-1, 1)
@@ -295,15 +344,15 @@ def test_frobenius_numbers_concurrent_growth():
         seen = []
 
         def worker(index):
-            # Threads ask for different (r, n) at once, so a stale copy that
-            # is larger in one dimension only could replace a newer table.
+            # Threads ask for different (r, n) at once, so the lists of every
+            # rank, and the base list they read, grow on several threads.
             for n in range(index % 4, n_max + 1, 4):
                 r = (index + n) % (r_max + 1)
                 seen.append((n, r, frobenius_number(n, r, lam)))
 
         assert _race(worker) == []
         assert all(value == reference[r][n] for n, r, value in seen)
-        # No thread may replace the table with one smaller in either dimension.
-        powers = _POWER_CACHE[("frobenius", lam)]
-        assert len(powers) > max(r for _, r, _ in seen)
-        assert len(powers[0]) > max(n for n, _, _ in seen)
+        # No thread may replace a rank's list with a shorter one.
+        for rank in {r for _, r, _ in seen}:
+            served = max(n for n, r, _ in seen if r == rank)
+            assert len(special._POWERS[(("frobenius", lam), rank)]) > served
