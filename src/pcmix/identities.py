@@ -881,9 +881,9 @@ def verify_grid(
 
     Results come in one canonical order, independent of the order of the
     identities and grid values given: identities sorted, then parameters
-    lexicographic in (name, value), with m before n for T7/E67, then n.  A
-    repeated identity or grid value raises ParameterError instead of checking
-    twice.
+    lexicographic in (name, value), with m before n for T7/E67, then n.  An
+    unknown identity, or a repeated identity or grid value, raises
+    ParameterError before any check runs.
     """
     grid = grid or DEFAULT_GRID
     ids = tuple(ids)
@@ -894,11 +894,12 @@ def verify_grid(
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ParameterError(f"{axis!r} lists {value} twice")
+    for identity in ids:
+        if identity not in CATALOGUE:
+            raise ParameterError(f"unknown identity {identity!r}")
     results: list[VerificationResult] = []
     for identity in sorted(ids):
-        info = CATALOGUE.get(identity)
-        if info is None:
-            raise ParameterError(f"unknown identity {identity!r}")
+        info = CATALOGUE[identity]
         plain_axes = sorted(axis for axis in info.axes if axis != "m")
         ordered = (sorted(axis_values[axis], key=as_fraction) for axis in plain_axes)
         for combo in itertools.product(*ordered):

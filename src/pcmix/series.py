@@ -8,12 +8,22 @@ as ``n! * coeffs[n]`` through :meth:`Series.egf_coefficient`.
 Arithmetic between two series requires equal order.  Mixing truncation
 orders silently is the classic source of wrong identities, so the kernel
 refuses instead of coercing; callers truncate explicitly.
+
+Products, compositions and inverses work on integer rows: each coefficient
+becomes its numerator tuple over one denominator shared by the whole series,
+and every sum of products of rows goes through one truncated-product helper,
+``_truncated_product``.  Its one branch reads the row widths: when every row
+of both operands has at most one entry (an x-free series, such as every
+Sheffer pair), each t^m term is one scalar dot product; otherwise each pair
+of rows is convolved in x.  Results are normalised to canonical ``Poly``
+form once per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Union
 
 from .poly import Poly, Rational, as_fraction, convolve_into, from_parts
@@ -48,10 +58,35 @@ def _as_poly(c: Coefficient) -> Poly:
 
 
 def _over_common_denominator(coeffs: tuple[Poly, ...]) -> tuple[list[tuple[int, ...]], int]:
-    """Numerator tuples of every coefficient over their least common denominator."""
+    """Numerator rows of every coefficient over their least common denominator."""
     den = lcm(*(c.den for c in coeffs))
     return [c.nums if c.den == den else tuple(x * (den // c.den) for x in c.nums)
             for c in coeffs], den
+
+
+def _truncated_product(a: list, b: list, start: int, stop: int) -> list[list[int]]:
+    """Rows of the t^start .. t^(stop-1) terms of the product of two row series.
+
+    ``a`` and ``b`` list integer rows (numerators in x), lowest power of t
+    first; rows past the end of either read as zero.  Term m is the sum of
+    ``a[i] * b[m - i]``, over the product of the operands' denominators.
+    """
+    scalar = max(map(len, a), default=0) <= 1 and max(map(len, b), default=0) <= 1
+    if scalar:
+        x = [r[0] if r else 0 for r in a]
+        y = [r[0] if r else 0 for r in b]
+    out = []
+    for m in range(start, stop):
+        lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
+        if scalar:
+            out.append([sum(map(mul, x[lo:hi + 1], reversed(y[m - hi:m - lo + 1])))])
+            continue
+        pairs = [(a[i], b[m - i]) for i in range(lo, hi + 1) if a[i] and b[m - i]]
+        acc = [0] * max((len(u) + len(v) - 1 for u, v in pairs), default=0)
+        for u, v in pairs:
+            convolve_into(acc, u, v)
+        out.append(acc)
+    return out
 
 
 class Series:
@@ -144,19 +179,11 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_order(other)
-        # Each t^m coefficient is one integer convolution over the product of
-        # the two common denominators, normalised once.
         a, da = _over_common_denominator(self.coeffs)
         b, db = _over_common_denominator(other.coeffs)
         den = da * db
-        out = []
-        for m in range(self.order):
-            pairs = [(a[i], b[m - i]) for i in range(m + 1) if a[i] and b[m - i]]
-            acc = [0] * max((len(x) + len(y) - 1 for x, y in pairs), default=0)
-            for x, y in pairs:
-                convolve_into(acc, x, y)
-            out.append(from_parts(acc, den))
-        return Series(out, self.order)
+        return Series([from_parts(row, den) for row in _truncated_product(a, b, 0, self.order)],
+                      self.order)
 
     def __rmul__(self, other: Coefficient) -> "Series":
         return self.__mul__(other)
@@ -174,26 +201,40 @@ class Series:
         c0 = self.coeffs[0]
         if not c0.is_constant or c0.is_zero:
             raise NotInvertible(f"constant term {c0} is not a nonzero constant")
-        inv0 = 1 / c0.constant_value
-        out = [Poly((inv0,))]
+        # With a_i the rows over den and C the inverse, C_n = c_n den / a_0^(n+1)
+        # where c_0 = 1 and c_n = -sum_{i=1..n} a_i a_0^(i-1) c_(n-i).
+        a, den = _over_common_denominator(self.coeffs)
+        a0 = a[0][0]
+        weighted = [()] + [tuple(x * a0 ** (i - 1) for x in row) for i, row in enumerate(a[1:], 1)]
+        c = [[1]]
         for n in range(1, self.order):
-            acc = Poly()
-            for i in range(1, n + 1):
-                a = self.coeffs[i]
-                if not a.is_zero:
-                    acc = acc + a * out[n - i]
-            out.append(acc * -inv0)
-        return Series(out, self.order)
+            c.append([-x for x in _truncated_product(weighted, c, n, n + 1)[0]])
+        sign = -1 if a0 < 0 else 1
+        return Series([from_parts([x * den * sign ** (n + 1) for x in row], abs(a0) ** (n + 1))
+                       for n, row in enumerate(c)], self.order)
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute ``inner`` for t; ``inner`` must have zero constant term."""
         self._require_same_order(inner)
         if not inner.coeffs[0].is_zero:
             raise NotDelta("composition needs an inner series with zero constant term")
-        acc = constant_series(self.coeffs[-1], self.order)
-        for i in range(self.order - 2, -1, -1):
-            acc = acc * inner + constant_series(self.coeffs[i], self.order)
-        return acc
+        # sum_i f_i g^i over df * dg^(order-1): the power g^i is a row series
+        # over dg^i, so f_i is scaled by the remaining dg^(order-1-i).
+        order = self.order
+        f, df = _over_common_denominator(self.coeffs)
+        g, dg = _over_common_denominator(inner.coeffs)
+        f = [tuple(x * dg ** (order - 1 - i) for x in row) for i, row in enumerate(f)]
+        powers = [[[1]] + [[]] * (order - 1)]
+        for i in range(1, order):
+            # g^i has no terms below t^i.
+            powers.append([[]] * i + _truncated_product(powers[-1], g, i, order))
+        den = df * dg ** (order - 1)
+        out = []
+        for m in range(order):
+            # Term m of f times the column g^m[m], ..., g^0[m] is sum_i f_i g^i[m].
+            column = [powers[i][m] for i in range(m, -1, -1)]
+            out.append(from_parts(_truncated_product(f, column, m, m + 1)[0], den))
+        return Series(out, order)
 
     def revert(self) -> "Series":
         """Compositional inverse of a delta series.

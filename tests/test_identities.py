@@ -196,6 +196,19 @@ def test_parameter_domain_errors():
         verify_grid(("T1", "NOPE"), 1, SINGLETON)
 
 
+def test_verify_grid_rejects_unknown_id_before_checking(monkeypatch):
+    # T9 sorts before ZZ; the unknown name must stop the sweep before any
+    # check runs, not after T9's whole grid.
+    calls = []
+    real_verify = identities.verify
+    monkeypatch.setattr(
+        identities, "verify", lambda *args, **kw: calls.append(args) or real_verify(*args, **kw)
+    )
+    with pytest.raises(ParameterError, match="ZZ"):
+        verify_grid(("T9", "ZZ"), 10)
+    assert calls == []
+
+
 def test_parameters_are_canonicalized():
     result = verify("T1", 2, k=1, a=F(6, 2))
     assert result.params["a"] == F(3) and result.params["a"].denominator == 1

@@ -108,6 +108,11 @@ def test_inverse_cauchy_gf_long_division():
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_inverse_of_exp_xt_is_exp_minus_xt(n):
+    assert exp_xt(n).inverse() == exp_xt(n).scale_t(-1)
+
+
 def test_inverse_rejects_delta_and_x_dependent():
     with pytest.raises(NotInvertible):
         t_series(4).inverse()
@@ -134,6 +139,11 @@ def test_compose_lif1_with_log_is_cauchy_gf():
     assert lif_series(1, n) * t_series(n) == exp_series(n) - one_series(n)
     composed = lif_series(1, n).compose(log1p_scaled(1, n))
     assert composed.truncate(n - 1) == log1p_scaled(1, n).divide_t().inverse()
+
+
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_compose_exp_with_xt_is_exp_xt(n):
+    assert exp_series(n).compose(t_series(n) * X) == exp_xt(n)
 
 
 def test_compose_rejects_nonzero_constant_term():
@@ -295,6 +305,13 @@ wide_series = st.lists(
 ).map(lambda cs: Series(cs, 6))
 
 
+def assert_canonical(series):
+    for c in series.coeffs:
+        assert c.den > 0 and gcd(c.den, *c.nums) == 1
+        assert not c.nums or c.nums[-1] != 0
+        assert c.nums or c.den == 1
+
+
 @settings(deadline=None, max_examples=100)
 @given(wide_series, wide_series)
 def test_mul_matches_schoolbook_poly_products(f, g):
@@ -304,14 +321,71 @@ def test_mul_matches_schoolbook_poly_products(f, g):
             out[i + j] = out[i + j] + f.coeffs[i] * g.coeffs[j]
     product = f * g
     assert product == Series(out, 6)
-    for c in product.coeffs:
-        assert c.den > 0 and gcd(c.den, *c.nums) == 1
-        assert not c.nums or c.nums[-1] != 0
-        assert c.nums or c.den == 1
+    assert_canonical(product)
+
+
+# -- x-free operands against the general path and a Fraction reference ----------------
+
+xfree_values = st.lists(wide_rationals, max_size=6)
+
+
+def fraction_product(f, g):
+    return [sum(f[i] * g[m - i] for i in range(m + 1)) for m in range(len(f))]
+
+
+def fraction_inverse(f):
+    out = [1 / f[0]]
+    for n in range(1, len(f)):
+        out.append(-sum(f[i] * out[n - i] for i in range(1, n + 1)) / f[0])
+    return out
+
+
+def fraction_compose(f, g):
+    out, power = [F(0)] * len(f), [F(1)] + [F(0)] * (len(f) - 1)
+    for c in f:
+        out = [o + c * p for o, p in zip(out, power)]
+        power = fraction_product(power, g)
+    return out
+
+
+def padded(values):
+    return [F(v) for v in values] + [F(0)] * (6 - len(values))
+
+
+@settings(deadline=None, max_examples=100)
+@given(xfree_values, xfree_values)
+def test_xfree_mul_matches_x_lifted_general_path(f_values, g_values):
+    # g * X has rows of width 2, so the product goes through the per-pair
+    # convolution; dividing out x must give the scalar product.
+    f, g = Series(f_values, 6), Series(g_values, 6)
+    product = f * g
+    lifted = f * (g * X)
+    assert product == Series([c.divide_x() for c in lifted.coeffs], 6)
+    assert product == Series(fraction_product(padded(f_values), padded(g_values)), 6)
+    assert_canonical(product)
+
+
+@settings(deadline=None, max_examples=100)
+@given(xfree_values, xfree_values)
+def test_xfree_compose_matches_fraction_reference(f_values, g_values):
+    g_values = padded(g_values)
+    g_values[0] = F(0)
+    composed = Series(f_values, 6).compose(Series(g_values, 6))
+    assert composed == Series(fraction_compose(padded(f_values), g_values), 6)
+    assert_canonical(composed)
+
+
+@settings(deadline=None, max_examples=100)
+@given(wide_rationals.filter(lambda q: q != 0), xfree_values)
+def test_xfree_inverse_matches_fraction_reference(c0, tail):
+    values = [c0] + padded(tail)[1:]
+    inverse = Series(values, 6).inverse()
+    assert inverse == Series(fraction_inverse(values), 6)
+    assert_canonical(inverse)
 
 
 @settings(deadline=None, max_examples=60)
-@given(rationals.filter(lambda q: q != 0), const_series(5))
+@given(rationals.filter(lambda q: q != 0), st.one_of(const_series(5), poly_series(5)))
 def test_inverse_round_trip(c0, tail):
     f = Series((c0,) + tail.coeffs[1:], 5)
     assert f * f.inverse() == one_series(5)

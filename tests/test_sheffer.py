@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from math import factorial
 
@@ -5,6 +6,7 @@ import pytest
 
 from pcmix.families import (
     bernoulli_pair,
+    catalogue_pairs,
     falling_pair,
     frobenius_pair,
     mixed_hat_pair,
@@ -221,3 +223,22 @@ def test_lowering_property_for_mixed_pair():
     pair = mixed_pair(2, F(3, 7), 10)
     for n in range(1, 8):
         assert operator_apply(pair.f, pair.polynomial(n)) == n * pair.polynomial(n - 1)
+
+
+def test_catalogue_route_bytes_are_pinned():
+    # Every member, one recurrence step from each member and the connection
+    # onto the rising factorials, for the whole pair catalogue: the digest
+    # pins the exact rationals the series kernel produces on this route.
+    target = rising_pair(12)
+    digest = hashlib.sha256()
+    for pair in catalogue_pairs(12):
+        digest.update(pair.label.encode())
+        for n in range(12):
+            member = pair.polynomial(n)
+            digest.update(repr((member.nums, member.den)).encode())
+            if n < 11:
+                step = recurrence_next(pair, member)
+                digest.update(repr((step.nums, step.den)).encode())
+        row = connection_coefficients(pair, target, 11)
+        digest.update(repr([(c.numerator, c.denominator) for c in row]).encode())
+    assert digest.hexdigest() == "248e9e0fb82b0c6fa4d54c5c6158e0cd567268f7ff1a3595679ebb4f6ad15226"
