@@ -825,31 +825,35 @@ ALL_IDS: tuple[str, ...] = CORE_IDS + AUDIT_IDS
 # -- entry points --------------------------------------------------------------
 
 
+def _axis_value(axis: str, value, n: int):
+    """The canonical value of one parameter; ParameterError outside its domain."""
+    if axis in ("k", "s", "m"):
+        frac = as_fraction(value)
+        if frac.denominator != 1:
+            raise ParameterError(f"parameter {axis!r} must be an integer")
+        value = int(frac)
+        if axis == "s" and value < 0:
+            raise ParameterError("parameter 's' must be >= 0")
+        if axis == "m" and not 1 <= value <= n:
+            raise ParameterError(f"parameter 'm' must satisfy 1 <= m <= n={n}")
+    elif axis == "a":
+        value = as_fraction(value)
+        if value == 0:
+            raise ParameterError("parameter 'a' must be nonzero")
+    elif axis == "lam":
+        value = as_fraction(value)
+        if value == 1:
+            raise ParameterError("parameter 'lam' must differ from 1")
+    return value
+
+
 def _canonical_params(info: IdentityInfo, n: int, params: Mapping) -> dict:
     supplied = dict(params)
     canonical: dict = {}
     for axis in info.axes:
         if axis not in supplied:
             raise ParameterError(f"{info.identity} needs parameter {axis!r}")
-        value = supplied.pop(axis)
-        if axis in ("k", "s", "m"):
-            frac = as_fraction(value)
-            if frac.denominator != 1:
-                raise ParameterError(f"parameter {axis!r} must be an integer")
-            value = int(frac)
-            if axis == "s" and value < 0:
-                raise ParameterError("parameter 's' must be >= 0")
-            if axis == "m" and not 1 <= value <= n:
-                raise ParameterError(f"parameter 'm' must satisfy 1 <= m <= n={n}")
-        elif axis == "a":
-            value = as_fraction(value)
-            if value == 0:
-                raise ParameterError("parameter 'a' must be nonzero")
-        elif axis == "lam":
-            value = as_fraction(value)
-            if value == 1:
-                raise ParameterError("parameter 'lam' must differ from 1")
-        canonical[axis] = value
+        canonical[axis] = _axis_value(axis, supplied.pop(axis), n)
     if supplied:
         raise ParameterError(
             f"{info.identity} does not take parameters {sorted(supplied)}"
@@ -882,7 +886,8 @@ def verify_grid(
     Results come in one canonical order, independent of the order of the
     identities and grid values given: identities sorted, then parameters
     lexicographic in (name, value), with m before n for T7/E67, then n.  An
-    unknown identity, or a repeated identity or grid value, raises
+    unknown identity, a repeated identity or grid value, or a value outside
+    the domain of an axis some requested identity reads raises
     ParameterError before any check runs.
     """
     grid = grid or DEFAULT_GRID
@@ -897,6 +902,9 @@ def verify_grid(
     for identity in ids:
         if identity not in CATALOGUE:
             raise ParameterError(f"unknown identity {identity!r}")
+    for axis in sorted({axis for identity in ids for axis in CATALOGUE[identity].axes} - {"m"}):
+        for value in axis_values[axis]:
+            _axis_value(axis, value, n_max)
     results: list[VerificationResult] = []
     for identity in sorted(ids):
         info = CATALOGUE[identity]

@@ -237,27 +237,22 @@ class Series:
         return Series(out, order)
 
     def revert(self) -> "Series":
-        """Compositional inverse of a delta series.
+        """Compositional inverse of a delta series, by Lagrange inversion.
 
-        Solved coefficient-by-coefficient from ``compose(result, self) = t``,
-        a triangular system since self**m has no terms below t**m.
+        ``[t^n] fbar = [t^(n-1)] (t/f)^n / n``.  Since f_1 is a nonzero
+        constant, t/f is invertible and the formula holds over Q[x] as over Q.
         """
         if not self.is_delta:
             raise NotDelta("compositional inverse needs a delta series")
-        n_max = self.order
-        f1 = self.coeffs[1].constant_value
-        powers = [None, self]  # self**m, filled on demand
-        for m in range(2, n_max):
-            powers.append(powers[-1] * self)
-        out = [Poly(), Poly((1 / f1,))]
-        for n in range(2, n_max):
-            acc = Poly()
-            for m in range(1, n):
-                cm = powers[m].coeffs[n]
-                if not cm.is_zero:
-                    acc = acc + out[m] * cm
-            out.append(acc * (-(f1 ** -n)))
-        return Series(out, n_max)
+        order = self.order
+        # The powers (t/f)^n are rows over dh^n; later powers read them up
+        # to t^(order-2).
+        h, dh = _over_common_denominator(self.divide_t().inverse().coeffs)
+        out, power = [Poly()], [[1]]
+        for n in range(1, order):
+            power = _truncated_product(power, h, 0, order - 1)
+            out.append(from_parts(list(power[n - 1]), n * dh ** n))
+        return Series(out, order)
 
     # -- reshaping --------------------------------------------------------
 

@@ -7,23 +7,27 @@ A constant-coefficient series f acts two ways on polynomials:
 * as a differential operator, t acting as d/dx (``operator_apply``).
 
 A Sheffer pair (g, f) with g invertible and f delta determines a unique
-polynomial sequence; ``ShefferPair.polynomial`` constructs it from the
-generating function (1/g(fbar)) * exp(x*fbar) with fbar the compositional
-inverse of f, expanded as the finite sum of x^m * fbar^m / m!.
+polynomial sequence with generating function h(t) * exp(x*fbar(t)), where
+fbar is the compositional inverse of f and h = 1/g(fbar) (Roman, *The Umbral
+Calculus*, Thm 2.3.4).  ``ShefferPair.polynomial`` reads each member off that
+series as an exponential coefficient, and ``connection_coefficients`` reads
+each row off the same form of generating function.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
-from .poly import Poly, X
+from .poly import Poly, X, from_parts
 from .series import (
     NotDelta,
     NotInvertible,
     OrderExhausted,
     Series,
     SeriesError,
+    _over_common_denominator,
+    exp_xt,
     one_series,
 )
 
@@ -58,16 +62,17 @@ def operator_apply(f: Series, p: Poly) -> Poly:
         raise OrderExhausted(
             f"operator of order {f.order} cannot act on degree {p.degree}"
         )
-    result = Poly()
-    d = p
-    for k in range(p.degree + 1):
-        c = f.coeffs[k].constant_value
-        if c:
-            result = result + d * c
-        d = d.derivative()
-        if d.is_zero:
-            break
-    return result
+    # [x^j] f(d/dx) p = sum_k f_k (j+k)!/j! p_(j+k), over den(f) den(p).
+    rows, den = _over_common_denominator(f.coeffs[:len(p.nums)])
+    fs = [row[0] if row else 0 for row in rows]
+    nums = p.nums
+    return from_parts([sum(fs[k] * perm(j + k, k) * nums[j + k] for k in range(len(nums) - j))
+                       for j in range(len(nums))], den * p.den)
+
+
+def _sheffer_series(h: Series, inner: Series) -> Series:
+    """h(t) * exp(x * inner(t)): its n-th exponential coefficient is a polynomial in x."""
+    return h * exp_xt(h.order).compose(inner)
 
 
 class ShefferPair:
@@ -86,7 +91,7 @@ class ShefferPair:
         self.f = f
         self.label = label or "pair"
         self._fbar: Series | None = None
-        self._egf: list[list[Fraction]] | None = None
+        self._egf: Series | None = None
         self._recurrence_ops: tuple[Series, Series] | None = None
 
     @property
@@ -100,33 +105,15 @@ class ShefferPair:
             self._fbar = self.f.revert()
         return self._fbar
 
-    def _table(self) -> list[list[Fraction]]:
-        # row m, column n: n! [t^n] (1/g(fbar)) fbar^m / m!,
-        # the x^m coefficient of the n-th sequence member.
-        if self._egf is None:
-            running = self.g.compose(self.fbar).inverse()
-            rows = []
-            for m in range(self.order):
-                scale = Fraction(1, factorial(m))
-                rows.append(
-                    [
-                        factorial(n) * running.coeffs[n].constant_value * scale
-                        for n in range(self.order)
-                    ]
-                )
-                if m + 1 < self.order:
-                    running = running * self.fbar
-            self._egf = rows
-        return self._egf
-
     def polynomial(self, n: int) -> Poly:
         """The degree-n member of the sequence attached to this pair."""
         if not 0 <= n < self.order:
             raise OrderExhausted(
                 f"{self.label}: degree {n} needs order > {n}, have {self.order}"
             )
-        table = self._table()
-        return Poly([table[m][n] for m in range(n + 1)])
+        if self._egf is None:
+            self._egf = _sheffer_series(self.g.compose(self.fbar).inverse(), self.fbar)
+        return self._egf.egf_coefficient(n)
 
     def __repr__(self) -> str:
         return f"ShefferPair({self.label}, order={self.order})"
@@ -159,15 +146,8 @@ def connection_coefficients(
         raise OrderExhausted(f"degree {n} needs order > {n}")
     fbar = source.fbar
     base = target.g.compose(fbar) * source.g.compose(fbar).inverse()
-    ell = target.f.compose(fbar)
-    out = []
-    running = base
-    for m in range(n + 1):
-        value = factorial(n) * running.coeffs[n].constant_value
-        out.append(value / factorial(m))
-        if m < n:
-            running = running * ell
-    return out
+    member = _sheffer_series(base, target.f.compose(fbar)).egf_coefficient(n)
+    return [member.coefficient(m) for m in range(n + 1)]
 
 
 def recurrence_next(pair: ShefferPair, s_n: Poly) -> Poly:

@@ -209,6 +209,25 @@ def test_verify_grid_rejects_unknown_id_before_checking(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("axis, values", [("lam_values", (F(1),)), ("s_values", (-1,))])
+def test_verify_grid_rejects_out_of_domain_value_before_checking(monkeypatch, axis, values):
+    # Only E74, E77, T8 and T9 read s or lam, and E30 sorts before them all:
+    # the bad value must stop the sweep before any identity is checked.
+    calls = []
+    real_verify = identities.verify
+    monkeypatch.setattr(
+        identities, "verify", lambda *args, **kw: calls.append(args) or real_verify(*args, **kw)
+    )
+    with pytest.raises(ParameterError):
+        verify_grid(ALL_IDS, 3, dataclasses.replace(SINGLETON, **{axis: values}))
+    assert calls == []
+
+
+def test_verify_grid_leaves_unread_axes_unchecked():
+    results = verify_grid(("T1",), 1, dataclasses.replace(SINGLETON, s_values=(-1,)))
+    assert summarize(results) == {"checked": 2, "failed": 0}
+
+
 def test_parameters_are_canonicalized():
     result = verify("T1", 2, k=1, a=F(6, 2))
     assert result.params["a"] == F(3) and result.params["a"].denominator == 1

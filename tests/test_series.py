@@ -33,9 +33,11 @@ def const_series(order):
     )
 
 
+small_polys = st.lists(rationals, min_size=0, max_size=3).map(Poly)
+
+
 def poly_series(order):
-    small_poly = st.lists(rationals, min_size=0, max_size=3).map(Poly)
-    return st.lists(small_poly, min_size=0, max_size=order).map(
+    return st.lists(small_polys, min_size=0, max_size=order).map(
         lambda cs: Series(cs, order)
     )
 
@@ -392,7 +394,8 @@ def test_inverse_round_trip(c0, tail):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.lists(rationals, min_size=0, max_size=4))
+@given(st.one_of(st.lists(rationals, min_size=0, max_size=4),
+                 st.lists(small_polys, min_size=0, max_size=4)))
 def test_revert_round_trips(higher):
     f = Series((0, 1, *higher), 6)
     fbar = f.revert()

@@ -1,8 +1,10 @@
 import hashlib
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcmix.families import (
     bernoulli_pair,
@@ -76,6 +78,35 @@ def test_operator_lowers_rising_factorials():
     lower = one_series(10) - exp_neg_series(10)
     for n in range(1, 9):
         assert operator_apply(lower, rising_poly(n)) == n * rising_poly(n - 1)
+
+
+def fraction_operator_apply(f, p):
+    # sum_k f_k p^(k), differentiating the coefficient list once per term.
+    out, d = [F(0)] * len(p), list(p)
+    for c in f:
+        out = [o + c * v for o, v in zip(out, d + [F(0)] * len(p))]
+        d = [j * v for j, v in enumerate(d)][1:]
+    return out
+
+
+# Negative and large-denominator values, every degree up to the order's
+# limit; the examples add the zero polynomial and zero series coefficients.
+wide_rationals = st.fractions(min_value=-(10 ** 6), max_value=10 ** 6, max_denominator=10 ** 12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(wide_rationals, min_size=7, max_size=7),
+       st.integers(0, 7).flatmap(lambda size: st.lists(wide_rationals, min_size=size,
+                                                       max_size=size)))
+@example([F(1, 3), F(0), F(-2), F(0), F(0), F(7, 10 ** 9), F(0)], [])
+@example([F(0)] * 7, [F(1), F(-2, 3)])
+@example([F(0), F(0), F(5, 4), F(0), F(-1), F(0), F(2)], [F(3), F(0), F(0), F(-7, 2), F(0), F(1)])
+def test_operator_matches_fraction_reference(f_values, p_values):
+    result = operator_apply(Series(f_values, 7), Poly(p_values))
+    assert result == Poly(fraction_operator_apply(f_values, p_values))
+    assert result.den > 0 and gcd(result.den, *result.nums) == 1
+    assert not result.nums or result.nums[-1] != 0
+    assert result.nums or result.den == 1
 
 
 def test_operator_rejects_x_dependent_series():
