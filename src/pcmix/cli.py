@@ -8,6 +8,7 @@ order, no timestamps.  Exit codes: 0 success, 1 mathematical counterexample,
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -187,6 +188,14 @@ def _resolve_ids(spec: str) -> tuple[str, ...]:
     return ids
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the default and the ceiling of --jobs."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _result_wire(result: VerificationResult) -> dict:
     params = {
         _WIRE_NAMES.get(name, name): _param_wire(name, value)
@@ -218,11 +227,20 @@ def _params_text(params: dict) -> str:
 @click.option("--s", "s_values", type=INT_LIST, default=None, help="grid override")
 @click.option("--lambda", "lam_values", type=RATIONAL_LIST, default=None, help="grid override")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt):
+@click.option(
+    "--jobs", type=int, default=None,
+    help="worker processes, 1 to the usable CPU count (the default); same output for any value",
+)
+def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt, jobs):
     """Run identity verification over a parameter grid; exact, zero tolerance."""
     id_list = _resolve_ids(ids)
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
+    ceiling = _usable_cpus()
+    if jobs is None:
+        jobs = ceiling
+    elif not 1 <= jobs <= ceiling:
+        raise click.UsageError(f"--jobs must be between 1 and {ceiling} (usable CPUs), got {jobs}")
     grid = Grid(
         a_values=a_values or DEFAULT_GRID.a_values,
         k_values=k_values or DEFAULT_GRID.k_values,
@@ -230,7 +248,7 @@ def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt):
         lam_values=lam_values or DEFAULT_GRID.lam_values,
     )
     try:
-        results = verify_grid(id_list, n_max, grid)
+        results = verify_grid(id_list, n_max, grid, jobs=jobs)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
     summary = summarize(results)

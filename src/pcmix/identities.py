@@ -878,20 +878,44 @@ def verify(identity: str, n: int, params: Mapping | None = None, **kwargs) -> Ve
     return VerificationResult(identity, n, canonical, **fields)
 
 
+def _check_group(n_max: int, tasks: Sequence[tuple[str, dict]]) -> list[list[VerificationResult]]:
+    """Run each (identity, base params) task over its degrees; one list per task."""
+    out = []
+    for identity, base in tasks:
+        info = CATALOGUE[identity]
+        if "m" in info.axes:
+            # m sorts after a and k, the other axes of T7/E67.
+            out.append([verify(identity, n, {**base, "m": m})
+                        for m in range(1, n_max + 1)
+                        for n in range(max(info.n_min, m), n_max + 1)])
+        else:
+            out.append([verify(identity, n, base) for n in range(info.n_min, n_max + 1)])
+    return out
+
+
 def verify_grid(
-    ids: Iterable[str], n_max: int, grid: Grid | None = None
+    ids: Iterable[str], n_max: int, grid: Grid | None = None, jobs: int = 1
 ) -> list[VerificationResult]:
     """Exhaustively verify the given identities over a parameter grid.
 
     Results come in one canonical order, independent of the order of the
-    identities and grid values given: identities sorted, then parameters
-    lexicographic in (name, value), with m before n for T7/E67, then n.  An
-    unknown identity, a repeated identity or grid value, or a value outside
-    the domain of an axis some requested identity reads raises
-    ParameterError before any check runs.
+    identities and grid values given and of ``jobs``: identities sorted, then
+    parameters lexicographic in (name, value), with m before n for T7/E67,
+    then n.  An unknown identity, a repeated identity or grid value, a value
+    outside the domain of an axis some requested identity reads, or
+    ``jobs < 1`` raises ParameterError before any check runs.
+
+    The checks split into groups by (k, a), which share no family table.
+    With ``jobs > 1`` and more than one group, the groups run in up to
+    ``jobs`` worker processes started by fork, so the workers see the
+    caller's in-memory state and import nothing.  Call it so only when no
+    other thread is running: a thread holding a table lock (such as
+    ``special._GROW_LOCK``) at fork time would leave a worker deadlocked.
     """
     grid = grid or DEFAULT_GRID
     ids = tuple(ids)
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     axis_values = {
         "k": grid.k_values, "a": grid.a_values, "s": grid.s_values, "lam": grid.lam_values,
     }
@@ -905,22 +929,28 @@ def verify_grid(
     for axis in sorted({axis for identity in ids for axis in CATALOGUE[identity].axes} - {"m"}):
         for value in axis_values[axis]:
             _axis_value(axis, value, n_max)
-    results: list[VerificationResult] = []
+    tasks: list[tuple[str, dict]] = []
     for identity in sorted(ids):
-        info = CATALOGUE[identity]
-        plain_axes = sorted(axis for axis in info.axes if axis != "m")
+        plain_axes = sorted(axis for axis in CATALOGUE[identity].axes if axis != "m")
         ordered = (sorted(axis_values[axis], key=as_fraction) for axis in plain_axes)
-        for combo in itertools.product(*ordered):
-            base = dict(zip(plain_axes, combo))
-            if "m" in info.axes:
-                # m sorts after a and k, the other axes of T7/E67.
-                for m in range(1, n_max + 1):
-                    for n in range(max(info.n_min, m), n_max + 1):
-                        results.append(verify(identity, n, {**base, "m": m}))
-            else:
-                for n in range(info.n_min, n_max + 1):
-                    results.append(verify(identity, n, base))
-    return results
+        tasks += [(identity, dict(zip(plain_axes, combo))) for combo in itertools.product(*ordered)]
+    groups: dict[tuple, list[int]] = {}
+    for index, (_, base) in enumerate(tasks):
+        groups.setdefault((base.get("k"), base.get("a")), []).append(index)
+    work = [[tasks[index] for index in indices] for indices in groups.values()]
+    run = partial(_check_group, n_max)
+    if jobs == 1 or len(work) <= 1:
+        done = map(run, work)
+    else:
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(work))) as pool:
+            done = list(pool.imap(run, work, chunksize=1))
+    per_task: list[list[VerificationResult]] = [[] for _ in tasks]
+    for indices, group in zip(groups.values(), done):
+        for index, results in zip(indices, group):
+            per_task[index] = results
+    return [result for results in per_task for result in results]
 
 
 def summarize(results: Sequence[VerificationResult]) -> dict:

@@ -91,6 +91,7 @@ class ShefferPair:
         self.f = f
         self.label = label or "pair"
         self._fbar: Series | None = None
+        self._h_series: Series | None = None
         self._egf: Series | None = None
         self._recurrence_ops: tuple[Series, Series] | None = None
 
@@ -105,6 +106,13 @@ class ShefferPair:
             self._fbar = self.f.revert()
         return self._fbar
 
+    @property
+    def _h(self) -> Series:
+        """h = 1/g(fbar), the factor in front of exp(x*fbar), computed once."""
+        if self._h_series is None:
+            self._h_series = self.g.compose(self.fbar).inverse()
+        return self._h_series
+
     def polynomial(self, n: int) -> Poly:
         """The degree-n member of the sequence attached to this pair."""
         if not 0 <= n < self.order:
@@ -112,7 +120,7 @@ class ShefferPair:
                 f"{self.label}: degree {n} needs order > {n}, have {self.order}"
             )
         if self._egf is None:
-            self._egf = _sheffer_series(self.g.compose(self.fbar).inverse(), self.fbar)
+            self._egf = _sheffer_series(self._h, self.fbar)
         return self._egf.egf_coefficient(n)
 
     def __repr__(self) -> str:
@@ -145,7 +153,7 @@ def connection_coefficients(
     if not 0 <= n < source.order:
         raise OrderExhausted(f"degree {n} needs order > {n}")
     fbar = source.fbar
-    base = target.g.compose(fbar) * source.g.compose(fbar).inverse()
+    base = target.g.compose(fbar) * source._h
     member = _sheffer_series(base, target.f.compose(fbar)).egf_coefficient(n)
     return [member.coefficient(m) for m in range(n + 1)]
 

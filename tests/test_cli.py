@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
+from pcmix import cli
 from pcmix.cli import main
 from pcmix.families import (
     bernoulli_poly,
@@ -175,13 +176,34 @@ def test_verify_output_is_byte_deterministic():
     assert first.output.encode() == second.output.encode()
 
 
-def test_verify_all_output_bytes_are_pinned():
+def test_verify_all_output_bytes_are_pinned(monkeypatch):
     # Refactors of the verifiers must not change a note, a status or the
-    # result order; the digest pins the whole report byte for byte.
-    result = run_cli("verify", "--ids", "all", "--n-max", "3", "--format", "json")
-    assert result.exit_code == 0
-    digest = hashlib.sha256(result.output.encode()).hexdigest()
-    assert digest == "128024219284c8e41389e834d66d4c55f15e394c5a53fd747986d21715723816"
+    # result order; the digest pins the whole report byte for byte, in one
+    # process and across two workers alike.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for jobs in ("1", "2"):
+        result = run_cli(
+            "verify", "--ids", "all", "--n-max", "3", "--format", "json", "--jobs", jobs
+        )
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == "128024219284c8e41389e834d66d4c55f15e394c5a53fd747986d21715723816"
+
+
+def test_verify_jobs_outside_range_exit_2_before_checking(monkeypatch):
+    # --jobs runs from 1 to the usable CPU count; anything else is a usage
+    # error raised before the grid is touched, so no worker ever starts.
+    calls = []
+    monkeypatch.setattr(cli, "verify_grid", lambda *args, **kw: calls.append(kw) or [])
+    ceiling = cli._usable_cpus()
+    for jobs in ("0", "-1", str(ceiling + 1), str(10**6)):
+        result = run_cli("verify", "--ids", "T1", "--jobs", jobs)
+        assert result.exit_code == 2
+        assert "--jobs must be between 1 and" in result.output
+    assert calls == []
+    assert run_cli("verify", "--ids", "T1", "--jobs", str(ceiling)).exit_code == 0
+    assert run_cli("verify", "--ids", "T1").exit_code == 0
+    assert calls == [{"jobs": ceiling}] * 2
 
 
 def test_default_grid_output_bytes_are_pinned():

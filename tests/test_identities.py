@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import multiprocessing
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from pcmix import identities
+from pcmix import cli, identities
 from pcmix.cli import main
 from pcmix.families import mixed_pair, pc_hat_mixed, pc_mixed, rising_pair
 from pcmix.identities import (
@@ -171,6 +172,9 @@ def test_verify_grid_ordering_is_deterministic():
     assert keys[0] == sorted(keys[0])
     # T1 and P2: 9 points x 4 degrees; T7: 9 x 6 (n, m) pairs; T9: 36 x 4.
     assert len(set(keys[0])) == len(keys[0]) == 2 * 36 + 54 + 144
+    # Nine (k, a) groups across two worker processes: the same results, in
+    # the same order.
+    assert verify_grid(("T9", "P2", "T7", "T1"), 3, grid, jobs=2) == twice[0]
 
 
 def test_parameter_domain_errors():
@@ -249,18 +253,42 @@ def test_counterexample_path(monkeypatch):
     assert not r.equal
     assert r.lhs == pc_mixed(1, 1, 1) and r.rhs == r.lhs + 1
 
-    args = ("verify", "--ids", "T1", "--n-max", "1", "--a", "1", "--k", "1")
-    result = CliRunner().invoke(main, [*args, "--format", "json"])
-    assert result.exit_code == 1
-    results = json.loads(result.output)["results"]
-    assert [entry["equal"] for entry in results] == [False, False]
-    entry = results[1]
-    assert entry["lhs"] == [[-1, 2], [-1, 1]]
-    assert entry["rhs"] == [[1, 2], [-1, 1]]
+    # Two values of a make two (k, a) groups, so --jobs 2 runs the patched
+    # checker in worker processes.
+    args = ("verify", "--ids", "T1", "--n-max", "1", "--a", "1,2", "--k", "1")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    texts = []
+    for jobs in ("1", "2"):
+        result = CliRunner().invoke(main, [*args, "--jobs", jobs, "--format", "json"])
+        assert result.exit_code == 1
+        results = json.loads(result.output)["results"]
+        assert [entry["equal"] for entry in results] == [False] * 4
+        entry = results[1]
+        assert entry["params"] == {"a": "1", "k": 1} and entry["n"] == 1
+        assert entry["lhs"] == [[-1, 2], [-1, 1]]
+        assert entry["rhs"] == [[1, 2], [-1, 1]]
 
-    result = CliRunner().invoke(main, list(args))
-    assert result.exit_code == 1
-    assert "first counterexample:" in result.output
+        result = CliRunner().invoke(main, [*args, "--jobs", jobs])
+        assert result.exit_code == 1
+        assert "first counterexample:" in result.output
+        texts.append(result.output)
+    assert texts[0] == texts[1]
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # A checker that raises inside a worker process raises from verify_grid,
+    # and the pool is gone by then.
+    def failing(n, k, a):
+        if a == 2:
+            raise ValueError("checker failed")
+        return _plain(pc_mixed(n, k, a), pc_mixed(n, k, a))
+
+    info = dataclasses.replace(CATALOGUE["T1"], checker=failing)
+    monkeypatch.setitem(CATALOGUE, "T1", info)
+    grid = dataclasses.replace(SINGLETON, a_values=(F(1), F(2), F(3)))
+    with pytest.raises(ValueError, match="checker failed"):
+        verify_grid(("T1",), 2, grid, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_notes_present_for_special_cases():
