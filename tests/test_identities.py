@@ -198,6 +198,8 @@ def test_parameter_domain_errors():
         verify("T1", 1, k=F(1, 2), a=1)  # fractional k
     with pytest.raises(ParameterError):
         verify_grid(("T1", "NOPE"), 1, SINGLETON)
+    with pytest.raises(ParameterError):
+        verify_grid(("T1",), 1, SINGLETON, jobs=0)
 
 
 def test_verify_grid_rejects_unknown_id_before_checking(monkeypatch):
