@@ -37,8 +37,7 @@ from .special import (
     frobenius_number,
     lif_series,
     rising_poly,
-    stirling1,
-    stirling2,
+    stirling_rows,
 )
 
 
@@ -82,13 +81,13 @@ DEFAULT_GRID = Grid(
 # -- building blocks ----------------------------------------------------------
 #
 # ``hat`` is False for the first-kind mixed family and True for the second.
-# Members and their point values are looked up through the families module at
-# call time: its extraction tables are their only cache.  The derivative
-# remainder shared by T6, E60 and E61 is read the same way, from a table of
-# its own.  Three memos remain, each for a value many grid points share that
-# costs far more than a lookup: the Bernoulli basis (T8/E74) and the
-# Frobenius-Euler basis (T9/E77), keyed by degree and order only, and the Lif
-# logarithmic-derivative ratio (E54/E55), one series inverse per (k, order).
+# Every identity is a statement about the mixed families at one (k, a), so a
+# checker reads its inputs from one _Group per verify() call or per (k, a)
+# task group of verify_grid.  The group reads the Stirling rows when built
+# and keeps every other input (members at k and k-1, shifted members, the
+# T6/E60/E61 remainder, the E54/E55 Lif ratio, point values) once a check
+# first asks for it.  Module memos stay for the bases groups share (T8/E74,
+# T9/E77).
 #
 # Right sides are summed in integers, the way Poly stores its coefficients.
 # The quadratic and deeper scalar sums (the Stirling step, the T5/E48
@@ -99,13 +98,57 @@ DEFAULT_GRID = Grid(
 # polynomials with rational weights the same way, in one integer list.
 
 
-def _mixed(n: int, k: int, a: Fraction, hat: bool) -> Poly:
-    return (fam.pc_hat_mixed if hat else fam.pc_mixed)(n, k, a)
+class _Group:
+    """The inputs of the checks at one (k, a), up to degree ``top`` (E54 at n reads n+1)."""
 
+    def __init__(self, k: int, a: Fraction, top: int):
+        self.k, self.a, self.top = k, a, top
+        self.s1, self.s2 = stirling_rows(top), stirling_rows(top, second=True)
+        self._kept: dict = {}
 
-def _mixed_shifted(n: int, k: int, a: Fraction, hat: bool) -> Poly:
-    # The argument moves by +1 for the first kind and by -1 for the second.
-    return _mixed(n, k, a, hat).shifted(-1 if hat else 1)
+    def _keep(self, key, build: Callable):
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+    def members(self, hat: bool, dk: int = 0) -> list[Poly]:
+        # Degrees 0..top at Lif index k + dk, highest first: tables grow once.
+        lookup = fam.pc_hat_mixed if hat else fam.pc_mixed
+        return self._keep(("members", hat, dk), lambda: [
+            lookup(n, self.k + dk, self.a) for n in range(self.top, -1, -1)
+        ][::-1])
+
+    def shifted(self, hat: bool, dk: int = 0) -> list[Poly]:
+        # The argument moves by +1 for the first kind and by -1 for the second.
+        return self._keep(("shifted", hat, dk), lambda: [
+            p.shifted(-1 if hat else 1) for p in self.members(hat, dk)
+        ])
+
+    def tails(self, hat: bool) -> list[Poly]:
+        # Remainder coefficients 0..top-2 (T6 at n reads n-1), from a table.
+        key = ("mixed-tail", self.k, self.a, hat)
+        builder = partial(_mixed_tail_series, self.k, self.a, hat)
+        return self._keep(key, lambda: [
+            fam._family_poly(key, builder, n) for n in range(self.top - 2, -1, -1)
+        ][::-1])
+
+    def values(self, hat: bool, x0: int, dk: int = 0) -> tuple[list[int], int]:
+        # P(x0) per member as integers over one denominator (the same for all x0).
+        def build():
+            members, powers = self.members(hat, dk), [x0**j for j in range(self.top + 1)]
+            den = lcm(*(p.den for p in members))
+            return [sum(map(mul, p.nums, powers)) * (den // p.den) for p in members], den
+
+        return self._keep(("values", hat, dk, x0), build)
+
+    def lif_ratio(self) -> Series:
+        # Lif_k'(-t) / Lif_k(-t), from the operator recurrence; one order serves
+        # every degree, as operator_apply reads len(p.nums) coefficients.
+        def build():
+            prime_neg = lif_series(self.k, self.top + 2).derivative().scale_t(-1)
+            return prime_neg * lif_series(self.k, self.top + 1).scale_t(-1).inverse()
+
+        return self._keep("lif ratio", build)
 
 
 def _factorial_poly(m: int, hat: bool) -> Poly:
@@ -150,18 +193,6 @@ def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
     return _poly_over(acc, common * den)
 
 
-def _member_values(members: Sequence[Poly], weights: Sequence[int]) -> tuple[list[int], int]:
-    # sum_j weights[j] [x^j] P for each member P, over one denominator; the
-    # weights (x0^j)_j give the point values P(x0) at an integer x0.
-    den = lcm(*(p.den for p in members))
-    values = [sum(map(mul, p.nums, weights)) * (den // p.den) for p in members]
-    return values, den
-
-
-def _powers(x: int, n: int) -> list[int]:
-    return [x**j for j in range(n + 1)]
-
-
 def _inverse_powers(top: int, k: int) -> tuple[list[int], int]:
     # e^-k at index e = 1..top as integers over one denominator: lcm(1..top)^k
     # when k > 0, and 1 when k <= 0, where e^-k is an integer already.
@@ -172,7 +203,7 @@ def _inverse_powers(top: int, k: int) -> tuple[list[int], int]:
 
 
 def _stirling_sum(
-    n: int, ms: Sequence[int], a: Fraction, values: Sequence[int], den: int
+    group: _Group, n: int, ms: Sequence[int], values: Sequence[int], den: int
 ) -> tuple[list[int], int]:
     # For each m in ms, sum_{l=0}^{n-m} C(n, l) S1(n-l, m) a^-(n-l) values[l] / den:
     # the umbral connection step through signed first-kind Stirling numbers,
@@ -182,30 +213,20 @@ def _stirling_sum(
     # a^-(n-l) = q^(n-l) p^l / p^n, so each sum is an integer dot product over
     # the one denominator p^n den returned with the numerators (of either
     # sign).  Empty, hence 0, when m > n.
-    p, q = a.numerator, a.denominator
+    p, q = group.a.numerator, group.a.denominator
     weights = [comb(n, l) * q ** (n - l) * p**l * values[l] for l in range(n - min(ms) + 1)]
-    sums = [
-        sum(stirling1(n - l, m) * weights[l] for l in range(n - m + 1)) for m in ms
-    ]
+    sums = [sum(group.s1[n - l][m] * weights[l] for l in range(n - m + 1)) for m in ms]
     return sums, p**n * den
 
 
 def _stirling_expansion(
-    n: int, a: Fraction, values: Sequence[int], den: int, basis: Callable, signed: bool
+    group: _Group, n: int, values: Sequence[int], den: int, basis: Callable, signed: bool
 ) -> Poly:
     # sum_m c_m basis(m), c_m the Stirling sum over values / den, negated at
     # odd m if signed: one integer accumulation over one denominator.
-    sums, den = _stirling_sum(n, range(n + 1), a, values, den)
+    sums, den = _stirling_sum(group, n, range(n + 1), values, den)
     terms = [(basis(m), -c if signed and m % 2 else c) for m, c in enumerate(sums) if c]
     return _combine(terms, den)
-
-
-@lru_cache(maxsize=None)
-def _lif_log_ratio(k: int, order: int) -> Series:
-    # Lif_k'(-t) / Lif_k(-t): the logarithmic-derivative factor the operator
-    # recurrence produces for the mixed-type pairs.
-    prime_neg = lif_series(k, order + 1).derivative().scale_t(-1)
-    return prime_neg * lif_series(k, order).scale_t(-1).inverse()
 
 
 def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
@@ -218,12 +239,6 @@ def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
     lif_log = lif_series(k, order + 1).compose(log)
     power = binomial_pow(a, X if hat else -X, order)
     return exp_neg_series(order) * lif_log.derivative() * power
-
-
-def _mixed_tail(n: int, k: int, a: Fraction, hat: bool) -> Poly:
-    # The egf coefficient n of the remainder series, from a family table.
-    builder = partial(_mixed_tail_series, k, a, hat)
-    return fam._family_poly(("mixed-tail", k, a, hat), builder, n)
 
 
 def _y_samples(n: int) -> list[Fraction]:
@@ -240,9 +255,9 @@ def _y_samples(n: int) -> list[Fraction]:
 
 # -- outcome helpers ----------------------------------------------------------
 #
-# A checker returns the keyword fields of VerificationResult that its outcome
-# sets; verify() adds the identity, n and parameters.  Both sides are kept
-# only on a mismatch.
+# A checker takes the group, n and its axes besides k and a, and returns the
+# keyword fields of VerificationResult that its outcome sets; _run adds the
+# identity, n and parameters.  Both sides are kept only on a mismatch.
 
 
 def _outcome(equal: bool, lhs: Poly, rhs: Poly, **fields) -> dict:
@@ -275,34 +290,36 @@ def _audited(lhs: Poly, printed: Poly, derived: Poly) -> dict:
 # -- core verifiers -----------------------------------------------------------
 
 
-def _check_t1(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_t1(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 1; with hat, equation (30).
     cauchy = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
-    rhs = _combine([(cauchy(l, k), comb(n, l) * (-1) ** (n - l) * a**-l) for l in range(n + 1)])
-    return _plain(_mixed(n, k, a, hat), rhs)
+    terms = [
+        (cauchy(l, group.k), comb(n, l) * (-1) ** (n - l) * group.a**-l) for l in range(n + 1)
+    ]
+    return _plain(group.members(hat)[n], _combine(terms))
 
 
-def _check_p2(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_p2(group: _Group, n: int, *, hat: bool) -> dict:
     # Proposition 2; with hat, equation (31) re-indexed by l -> n-l.  The
     # first kind convolves with the Poisson-Charlier polynomials at -x.
     cauchy = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
     terms = []
     for l in range(n + 1):
-        w = comb(n, l) * cauchy(n - l, k)(0) * a ** -(n - l)
-        charlier = fam.poisson_charlier(l, a)
+        w = comb(n, l) * cauchy(n - l, group.k)(0) * group.a ** -(n - l)
+        charlier = fam.poisson_charlier(l, group.a)
         terms.append((charlier if hat else charlier.compose(-X), w))
-    return _plain(_mixed(n, k, a, hat), _combine(terms))
+    return _plain(group.members(hat)[n], _combine(terms))
 
 
-def _stirling_triple_sum(n: int, k: int, a: Fraction, hat: bool, offset: int) -> Poly:
+def _stirling_triple_sum(group: _Group, n: int, hat: bool, offset: int) -> Poly:
     # The coefficient of x^j is the sum over m >= j and l of
     # sign * C(n, l) * S1(n-l, m) * a^-(n-l) * C(m, j) * (m-j+offset)^(-k),
     # where the sign parity is l+j for the first kind and l+m+j for the second.
     # The l-sum is the Stirling sum over (-1)^l and does not depend on j.
     signs = [(-1) ** l for l in range(n + 1)]
-    sums, den = _stirling_sum(n, range(n + 1), a, signs, 1)
+    sums, den = _stirling_sum(group, n, range(n + 1), signs, 1)
     inner = [(-1) ** (m * hat) * c for m, c in enumerate(sums)]
-    powers, scale = _inverse_powers(n + offset, k)
+    powers, scale = _inverse_powers(n + offset, group.k)
     totals = []
     for j in range(n + 1):
         total = sum(
@@ -314,24 +331,25 @@ def _stirling_triple_sum(n: int, k: int, a: Fraction, hat: bool, offset: int) ->
 
 def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
     """The explicit triple-sum formula for the first-kind mixed polynomial,
-    or for the second-kind one when ``hat`` is true."""
-    return _stirling_triple_sum(n, k, as_fraction(a), hat, 1)
+    or for the second-kind one when ``hat`` is true; ParameterError unless
+    n >= 0 and k are integers and a is a nonzero rational."""
+    _check_degree("t3_polynomial", n, 0)
+    group = _Group(_axis_value("k", k, n), _axis_value("a", a, n), n + 1)
+    return _stirling_triple_sum(group, n, hat, 1)
 
 
-def _check_t3(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_t3(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 3; with hat, the remark after it.
-    return _plain(_mixed(n, k, a, hat), t3_polynomial(n, k, a, hat))
+    return _plain(group.members(hat)[n], _stirling_triple_sum(group, n, hat, 1))
 
 
-def _check_t4(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_t4(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 4; with hat, equation (41), which has no (-1)^l.
-    members = [_mixed(l, k, a, hat) for l in range(n + 1)]
-    values, den = _member_values(members, _powers(0, n))
-    rhs = _stirling_expansion(n, a, values, den, monomial, not hat)
-    return _plain(members[n], rhs)
+    rhs = _stirling_expansion(group, n, *group.values(hat, 0), monomial, not hat)
+    return _plain(group.members(hat)[n], rhs)
 
 
-def _check_t5(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_t5(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 5; with hat, equation (48).  The order-n Bernoulli expansions
     # of the two kinds differ only in the sign pattern and the overall (-1)^n.
     # The coefficient of x^m is a^-n times the sum over r, l, j of
@@ -340,9 +358,10 @@ def _check_t5(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     # the second.  Summed in integers: B_r^(n) over one denominator, a^l as
     # p^l q^(n-l) / q^n with a = p/q, and the powers of n-r-j-l-m+1 as
     # _inverse_powers gives them; the q^n cancels against a^-n = q^n / p^n.
-    p, q = a.numerator, a.denominator
+    p, q = group.a.numerator, group.a.denominator
+    s2_rows = group.s2
     bernoulli, den = _over_one_den([bernoulli_order(r, n) for r in range(n)])
-    powers, scale = _inverse_powers(n + 1, k)
+    powers, scale = _inverse_powers(n + 1, group.k)
     a_powers = [p**l * q ** (n - l) for l in range(n + 1)]
     coefs = []
     for m in range(n + 1):
@@ -353,7 +372,7 @@ def _check_t5(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
             for l in range(n - m - r + 1):
                 w_rl = w_r * a_powers[l]
                 for j in range(n - m - r - l + 1):
-                    s2 = stirling2(j + l, l)
+                    s2 = s2_rows[j + l][l]
                     if not s2:
                         continue
                     term = (
@@ -367,14 +386,14 @@ def _check_t5(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
                     total += -term if parity & 1 else term
         coefs.append(total)
     den *= scale * p**n * ((-1) ** n if hat else 1)
-    return _plain(_mixed(n, k, a, hat), _poly_over(coefs, den))
+    return _plain(group.members(hat)[n], _poly_over(coefs, den))
 
 
-def _check_e49(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_e49(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (49) against rising factorials scaled by (-1/a)^(n-j); with
     # hat, equation (50) against falling factorials scaled by (1/a)^(n-j).
-    members = [_mixed(j, k, a, hat) for j in range(n + 1)]
-    step = Fraction(1 if hat else -1) / a
+    members = group.members(hat)
+    step = Fraction(1 if hat else -1) / group.a
     for y in _y_samples(n):
         lhs = members[n].compose(Poly((y, 1)))
         rhs = _combine([
@@ -386,13 +405,13 @@ def _check_e49(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     return _outcome(True, None, None)
 
 
-def _check_e51(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_e51(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (51) with the backward shift exp(-t); with hat, equation (52)
     # with the forward shift exp(t).
-    p = _mixed(n, k, a, hat)
+    members = group.members(hat)
     shift = exp_series(n + 1) if hat else exp_neg_series(n + 1)
-    lhs = operator_apply(shift, p) - p
-    rhs = _mixed(n - 1, k, a, hat) * (Fraction(n) / a)
+    lhs = operator_apply(shift, members[n]) - members[n]
+    rhs = members[n - 1] * (Fraction(n) / group.a)
     note = (
         "checked with both difference terms in the second-kind family; the "
         "printed statement drops a hat on the subtracted term"
@@ -400,47 +419,45 @@ def _check_e51(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
     return _plain(lhs, rhs, note if hat else None)
 
 
-def _check_e68(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_e68(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (68); with hat, equation (69), whose weights carry one more
     # factor of -1.
-    lhs = _mixed(n, k, a, hat).derivative()
+    members = group.members(hat)
     lead = Fraction(factorial(n) * (-1) ** n)
     rhs = _combine([
-        (_mixed(l, k, a, hat),
-         lead * Fraction((-1) ** (l + hat), (n - l) * factorial(l)) * a ** -(n - l))
+        (members[l],
+         lead * Fraction((-1) ** (l + hat), (n - l) * factorial(l)) * group.a ** -(n - l))
         for l in range(n)
     ])
-    return _plain(lhs, rhs)
+    return _plain(members[n].derivative(), rhs)
 
 
-def _check_t8(n: int, k: int, a: Fraction, s: int, *, hat: bool) -> dict:
+def _check_t8(group: _Group, n: int, s: int, *, hat: bool) -> dict:
     # Theorem 8 with first-kind Cauchy numbers; with hat, equation (74) with
     # second-kind ones and no (-1)^m.
     # values[l] = sum_i C(l, i) a^-i C_i^(s) P_{l-i}(s), summed in integers
     # with a^-i = q^i p^(n-i) / p^n for a = p/q.
-    members = [_mixed(l, k, a, hat) for l in range(n + 1)]
-    at_s, den = _member_values(members, _powers(s, n))
+    at_s, den = group.values(hat, s)
     cauchy = cauchy_second if hat else cauchy_first
     weights, cauchy_den = _over_one_den([cauchy(i, s) for i in range(n + 1)])
-    p, q = a.numerator, a.denominator
+    p, q = group.a.numerator, group.a.denominator
     weights = [w * q**i * p ** (n - i) for i, w in enumerate(weights)]
     values = [
         sum(comb(l, i) * weights[i] * at_s[l - i] for i in range(l + 1)) for l in range(n + 1)
     ]
     den *= cauchy_den * p**n
-    rhs = _stirling_expansion(n, a, values, den, lambda m: _bernoulli_basis(m, s), not hat)
-    return _plain(members[n], rhs)
+    rhs = _stirling_expansion(group, n, values, den, lambda m: _bernoulli_basis(m, s), not hat)
+    return _plain(group.members(hat)[n], rhs)
 
 
-def _check_t9(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
+def _check_t9(group: _Group, n: int, s: int, lam: Fraction) -> dict:
     # The printed statement's binomial weight comb(l, i) disagrees with the
     # identity's own derivation, which carries comb(s, i); the derivation
     # form is the one that holds and is what this verifier implements.
     # values[l] = sum_i C(s, i) (l)_i step^i P_{l-i}(s), step = -lam/((1-lam) a),
     # summed in integers over the step's denominator to the power s.
-    members = [_mixed(l, k, a, False) for l in range(n + 1)]
-    at_s, den = _member_values(members, _powers(s, n))
-    step = -lam / ((1 - lam) * a)
+    at_s, den = group.values(False, s)
+    step = -lam / ((1 - lam) * group.a)
     sp, sq = step.numerator, step.denominator
     weights = [comb(s, i) * sp**i * sq ** (s - i) for i in range(s + 1)]
     values = [
@@ -448,124 +465,98 @@ def _check_t9(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
         for l in range(n + 1)
     ]
     den *= sq**s
-    rhs = _stirling_expansion(n, a, values, den, lambda m: _frobenius_basis(m, s, lam), True)
-    return _plain(members[n], rhs)
+    rhs = _stirling_expansion(group, n, values, den, lambda m: _frobenius_basis(m, s, lam), True)
+    return _plain(group.members(False)[n], rhs)
 
 
-def _check_e77(n: int, k: int, a: Fraction, s: int, lam: Fraction) -> dict:
-    # values[l] = (1-lam)^-s sum_i C(s, i) (-lam)^(s-i) P^_l(i).  With
-    # lam = u/v this is sum_j [x^j] P^_l * moments[j] / (v-u)^s, where
-    # moments[j] = sum_i C(s, i) (-u)^(s-i) v^i i^j is one integer per j.
-    members = [_mixed(l, k, a, True) for l in range(n + 1)]
+def _check_e77(group: _Group, n: int, s: int, lam: Fraction) -> dict:
+    # values[l] = (1-lam)^-s sum_i C(s, i) (-lam)^(s-i) P^_l(i), summed in
+    # integers with lam = u/v over the one denominator (v-u)^s of the weights
+    # and the one of the point values.
     u, v = lam.numerator, lam.denominator
     weights = [comb(s, i) * (-u) ** (s - i) * v**i for i in range(s + 1)]
-    moments = [sum(w * i**j for i, w in enumerate(weights)) for j in range(n + 1)]
-    values, den = _member_values(members, moments)
-    den *= (v - u) ** s
-    rhs = _stirling_expansion(n, a, values, den, lambda m: _frobenius_basis(m, s, lam), False)
-    return _plain(members[n], rhs)
+    at = [group.values(True, i)[0] for i in range(s + 1)]
+    values = [sum(w * at[i][l] for i, w in enumerate(weights)) for l in range(n + 1)]
+    den = group.values(True, 0)[1] * (v - u) ** s
+    rhs = _stirling_expansion(group, n, values, den, lambda m: _frobenius_basis(m, s, lam), False)
+    return _plain(group.members(True)[n], rhs)
 
 
-def _check_t10(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_t10(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 10 over rising factorials; with hat, the remark after it, over
     # falling factorials.
-    base = a if hat else -a
+    members = group.members(hat)
+    base = group.a if hat else -group.a
     rhs = _combine([
-        (_factorial_poly(m, hat), comb(n, m) * base**-m * _mixed(n - m, k, a, hat)(0))
+        (_factorial_poly(m, hat), comb(n, m) * base**-m * members[n - m](0))
         for m in range(n + 1)
     ])
-    return _plain(_mixed(n, k, a, hat), rhs)
+    return _plain(members[n], rhs)
 
 
 # -- audit verifiers ----------------------------------------------------------
 
 
-def _recurrence_head(n: int, k: int, a: Fraction, hat: bool) -> Poly:
+def _recurrence_head(group: _Group, n: int, hat: bool) -> Poly:
     # -P_{n-1}(x) -+ (x/a) P_{n-1}(x+-1), upper signs for the first kind: the
     # head shared by the recurrences (54)-(55), T6 and equations (60)-(62).
     sign = -1 if hat else 1
-    shifted = _mixed_shifted(n - 1, k, a, hat)
-    return -_mixed(n - 1, k, a, hat) - X * shifted * (Fraction(sign) / a)
+    shifted = group.shifted(hat)[n - 1]
+    return -group.members(hat)[n - 1] - X * shifted * (Fraction(sign) / group.a)
 
 
-def _check_e54(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_e54(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (54); with hat, equation (55).  The printed closing sum is a
     # triple sum in the (x+1) or (x-1) power basis with the Lif index
     # shifted by one.
     sign = -1 if hat else 1
-    head = _recurrence_head(n + 1, k, a, hat)
-    tail = _stirling_triple_sum(n, k, a, hat, 2).shifted(sign) * (1 / a)
+    head = _recurrence_head(group, n + 1, hat)
+    tail = _stirling_triple_sum(group, n, hat, 2).shifted(sign) * (1 / group.a)
     printed = head - tail if hat else head + tail
-    ratio = _lif_log_ratio(k, n + 1)
-    split = operator_apply(ratio, _mixed_shifted(n, k, a, hat))
-    derived = head + split * (Fraction(sign) / a)
-    return _audited(_mixed(n + 1, k, a, hat), printed, derived)
+    split = operator_apply(group.lif_ratio(), group.shifted(hat)[n])
+    derived = head + split * (Fraction(sign) / group.a)
+    return _audited(group.members(hat)[n + 1], printed, derived)
 
 
-def _check_t6(n: int, k: int, a: Fraction, *, hat: bool) -> dict:
-    # Theorem 6; with hat, equation (61).
-    head = _recurrence_head(n, k, a, hat)
-    terms = []
-    for l in range(n):
-        w = comb(n, l) * cauchy_second(l, 1) * a ** -l
-        terms += [(_mixed(n - l, k - 1, a, hat), w), (_mixed(n - l, k, a, hat), -w)]
-    printed = head + _combine(terms, n)
-    derived = head + _mixed_tail(n - 1, k, a, hat)
-    return _audited(_mixed(n, k, a, hat), printed, derived)
+def _check_t6(group: _Group, n: int, *, hat: bool, shift: bool = False) -> dict:
+    # Theorem 6; with hat, equation (61).  With shift, equation (60), and
+    # with hat too, equation (62): shifted members, first-kind Cauchy numbers.
+    # As printed, (62)'s first difference term carries the fixed index n-1
+    # where (60) has n-l; its derivation form restores n-l.
+    rows = group.shifted if shift else group.members
+    lower, upper = rows(hat, -1), rows(hat)
+    cauchy = cauchy_first if shift else cauchy_second
+    head = _recurrence_head(group, n, hat)
+
+    weights = [comb(n, l) * cauchy(l, 1) * group.a ** -l for l in range(n)]
+
+    def stated(fixed: bool) -> Poly:
+        terms = [(lower[n - 1 if fixed else n - l], w) for l, w in enumerate(weights)]
+        terms += [(upper[n - l], -w) for l, w in enumerate(weights)]
+        return head + _combine(terms, n)
+
+    e62 = hat and shift
+    derived = stated(False) if e62 else head + group.tails(hat)[n - 1]
+    return _audited(group.members(hat)[n], stated(e62), derived)
 
 
-def _check_e60(n: int, k: int, a: Fraction) -> dict:
-    head = _recurrence_head(n, k, a, False)
-    terms = []
-    for l in range(n):
-        w = comb(n, l) * cauchy_first(l, 1) * a ** -l
-        terms += [
-            (_mixed_shifted(n - l, k - 1, a, False), w), (_mixed_shifted(n - l, k, a, False), -w)
-        ]
-    printed = head + _combine(terms, n)
-    derived = head + _mixed_tail(n - 1, k, a, False)
-    return _audited(_mixed(n, k, a, False), printed, derived)
-
-
-def _check_e62(n: int, k: int, a: Fraction) -> dict:
-    # As printed, the first difference term carries the fixed index n-1
-    # where the parallel first-kind statement has n-l; the derivation form
-    # restores n-l.
-    head = _recurrence_head(n, k, a, True)
-    fixed = _mixed_shifted(n - 1, k - 1, a, True)
-    printed_terms, derived_terms = [], []
-    for l in range(n):
-        w = comb(n, l) * cauchy_first(l, 1) * a ** -l
-        lower = (_mixed_shifted(n - l, k, a, True), -w)
-        printed_terms += [(fixed, w), lower]
-        derived_terms += [(_mixed_shifted(n - l, k - 1, a, True), w), lower]
-    printed = head + _combine(printed_terms, n)
-    derived = head + _combine(derived_terms, n)
-    return _audited(_mixed(n, k, a, True), printed, derived)
-
-
-def _check_t7(n: int, m: int, k: int, a: Fraction, *, hat: bool) -> dict:
+def _check_t7(group: _Group, n: int, m: int, *, hat: bool) -> dict:
     # Two evaluations of < exp(-t) Lif_k(sgn log(1+t/a)) (log(1+t/a))^m | x^n >:
     # the theorem after equation (66) for the second kind, equation (67) for
     # the first.
     edge = -1 if hat else 1
 
-    def at(kk: int, x0: int) -> tuple[list[int], int]:
-        # P_l^(kk)(x0) for l = 0..n-m, every index the moments below read.
-        return _member_values([_mixed(l, kk, a, hat) for l in range(n - m + 1)], _powers(x0, n))
-
-    def moment(q: int, j: int, values: tuple[list[int], int]) -> Fraction:
-        # sum_l j! a^(l-q) C(q, l) S1(q-l, j) P_l(x0); 0 when j > q.
-        (total,), den = _stirling_sum(q, (j,), a, *values)
+    def moment(q: int, j: int, x0: int, dk: int = 0) -> Fraction:
+        # sum_l j! a^(l-q) C(q, l) S1(q-l, j) P_l^(k+dk)(x0); 0 when j > q.
+        (total,), den = _stirling_sum(group, q, (j,), *group.values(hat, x0, dk))
         return factorial(j) * Fraction(total, den)
 
-    at_zero = at(k, 0)
-    direct = moment(n, m, at_zero)
+    direct = moment(n, m, 0)
     # At m = n the lowered moment is the empty sum.
-    lowered = moment(n - 1, m, at_zero)
+    lowered = moment(n - 1, m, 0)
     # The edge terms weigh the (m-1)-th moment by m!/a in place of (m-1)!.
-    edge_k = moment(n - 1, m - 1, at(k, edge)) * m / a
-    edge_km1 = moment(n - 1, m - 1, at(k - 1, edge)) * m / a
+    edge_k = moment(n - 1, m - 1, edge) * m / group.a
+    edge_km1 = moment(n - 1, m - 1, edge, -1) * m / group.a
     chained = -lowered + Fraction(m - 1, m) * edge_k + Fraction(1, m) * edge_km1
     derivation = direct == chained
     # For the second kind the printed final statement repeats superscript k
@@ -780,7 +771,7 @@ CATALOGUE: dict[str, IdentityInfo] = {
             "variant of T6 with first-kind Cauchy numbers and shifted "
             "arguments",
             "same derivation-form remainder as T6",
-            _check_e60,
+            partial(_check_t6, hat=False, shift=True),
         ),
         IdentityInfo(
             "E61", "audit", ("k", "a"), 1, "equation (61)",
@@ -794,7 +785,7 @@ CATALOGUE: dict[str, IdentityInfo] = {
             "second-kind analogue of E60",
             "as printed the first difference term has fixed index n-1; the "
             "derivation form restores the running index n-l",
-            _check_e62,
+            partial(_check_t6, hat=True, shift=True),
         ),
         IdentityInfo(
             "T7", "audit", ("m", "k", "a"), 1,
@@ -847,18 +838,14 @@ def _axis_value(axis: str, value, n: int):
     return value
 
 
-def _canonical_params(info: IdentityInfo, n: int, params: Mapping) -> dict:
-    supplied = dict(params)
-    canonical: dict = {}
-    for axis in info.axes:
-        if axis not in supplied:
-            raise ParameterError(f"{info.identity} needs parameter {axis!r}")
-        canonical[axis] = _axis_value(axis, supplied.pop(axis), n)
-    if supplied:
-        raise ParameterError(
-            f"{info.identity} does not take parameters {sorted(supplied)}"
-        )
-    return canonical
+def _check_degree(name: str, n, n_min: int) -> None:
+    if not isinstance(n, int) or n < n_min:
+        raise ParameterError(f"{name} needs an integer n >= {n_min}, got {n!r}")
+
+
+def _run(group: _Group, info: IdentityInfo, n: int, params: dict) -> VerificationResult:
+    rest = {axis: value for axis, value in params.items() if axis not in ("k", "a")}
+    return VerificationResult(info.identity, n, params, **info.checker(group, n, **rest))
 
 
 def verify(identity: str, n: int, params: Mapping | None = None, **kwargs) -> VerificationResult:
@@ -869,27 +856,31 @@ def verify(identity: str, n: int, params: Mapping | None = None, **kwargs) -> Ve
     info = CATALOGUE.get(identity)
     if info is None:
         raise ParameterError(f"unknown identity {identity!r}")
-    merged = dict(params or {})
-    merged.update(kwargs)
-    if n < info.n_min:
-        raise ParameterError(f"{identity} needs n >= {info.n_min}, got {n}")
-    canonical = _canonical_params(info, n, merged)
-    fields = info.checker(n, **canonical)
-    return VerificationResult(identity, n, canonical, **fields)
+    supplied = {**(params or {}), **kwargs}
+    _check_degree(identity, n, info.n_min)
+    canonical = {}
+    for axis in info.axes:
+        if axis not in supplied:
+            raise ParameterError(f"{identity} needs parameter {axis!r}")
+        canonical[axis] = _axis_value(axis, supplied.pop(axis), n)
+    if supplied:
+        raise ParameterError(f"{identity} does not take parameters {sorted(supplied)}")
+    return _run(_Group(canonical["k"], canonical["a"], n + 1), info, n, canonical)
 
 
 def _check_group(n_max: int, tasks: Sequence[tuple[str, dict]]) -> list[list[VerificationResult]]:
-    """Run each (identity, base params) task over its degrees; one list per task."""
+    """Run the (identity, base params) tasks of one (k, a) on one group."""
+    group = _Group(tasks[0][1]["k"], tasks[0][1]["a"], n_max + 1)
     out = []
     for identity, base in tasks:
         info = CATALOGUE[identity]
         if "m" in info.axes:
             # m sorts after a and k, the other axes of T7/E67.
-            out.append([verify(identity, n, {**base, "m": m})
-                        for m in range(1, n_max + 1)
-                        for n in range(max(info.n_min, m), n_max + 1)])
+            points = [(n, {**base, "m": m}) for m in range(1, n_max + 1)
+                      for n in range(max(info.n_min, m), n_max + 1)]
         else:
-            out.append([verify(identity, n, base) for n in range(info.n_min, n_max + 1)])
+            points = [(n, dict(base)) for n in range(info.n_min, n_max + 1)]
+        out.append([_run(group, info, n, params) for n, params in points])
     return out
 
 
@@ -905,7 +896,7 @@ def verify_grid(
     outside the domain of an axis some requested identity reads, or
     ``jobs < 1`` raises ParameterError before any check runs.
 
-    The checks split into groups by (k, a), which share no family table.
+    The checks split into groups by (k, a); each group reads its inputs once.
     With ``jobs > 1`` and more than one group, the groups run in up to
     ``jobs`` worker processes started by fork, so the workers see the
     caller's in-memory state and import nothing.  Call it so only when no
@@ -927,8 +918,7 @@ def verify_grid(
         if identity not in CATALOGUE:
             raise ParameterError(f"unknown identity {identity!r}")
     for axis in sorted({axis for identity in ids for axis in CATALOGUE[identity].axes} - {"m"}):
-        for value in axis_values[axis]:
-            _axis_value(axis, value, n_max)
+        axis_values[axis] = tuple(_axis_value(axis, value, n_max) for value in axis_values[axis])
     tasks: list[tuple[str, dict]] = []
     for identity in sorted(ids):
         plain_axes = sorted(axis for axis in CATALOGUE[identity].axes if axis != "m")
@@ -936,7 +926,7 @@ def verify_grid(
         tasks += [(identity, dict(zip(plain_axes, combo))) for combo in itertools.product(*ordered)]
     groups: dict[tuple, list[int]] = {}
     for index, (_, base) in enumerate(tasks):
-        groups.setdefault((base.get("k"), base.get("a")), []).append(index)
+        groups.setdefault((base["k"], base["a"]), []).append(index)
     work = [[tasks[index] for index in indices] for indices in groups.values()]
     run = partial(_check_group, n_max)
     if jobs == 1 or len(work) <= 1:

@@ -65,8 +65,12 @@ class StirlingTable:
     def value(self, n: int, k: int) -> int:
         if n < 0 or k < 0 or k > n:
             raise ValueError(f"Stirling numbers need 0 <= k <= n, got ({n}, {k})")
+        return self.upto(n)[n][k]
+
+    def upto(self, n: int) -> list[list[int]]:
+        """Rows 0..n at least, as published last; callers never change them."""
         # The instance's attribute dict is the store, so ``rows`` is published.
-        return grown(vars(self), "rows", n, self._extend)[n][k]
+        return grown(vars(self), "rows", n, self._extend)
 
     def _extend(self, rows: list[list[int]], n: int) -> None:
         # Row m+1 from row m: S(m+1, j) = S(m, j-1) - m S(m, j) for the first
@@ -92,6 +96,11 @@ def stirling1(n: int, k: int) -> int:
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind."""
     return _S2_TABLE.value(n, k)
+
+
+def stirling_rows(n: int, second: bool = False) -> list[list[int]]:
+    """Rows 0..n at least of the signed first kind, or of the second kind."""
+    return (_S2_TABLE if second else _S1_TABLE).upto(n)
 
 
 @lru_cache(maxsize=None)

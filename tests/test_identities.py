@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import multiprocessing
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from pcmix import cli, identities
+from pcmix import cli, families, identities, special
 from pcmix.cli import main
 from pcmix.families import mixed_pair, pc_hat_mixed, pc_mixed, rising_pair
 from pcmix.identities import (
@@ -109,21 +110,26 @@ def test_bernoulli_expansions_beyond_default_degree():
 
 def test_right_sides_read_their_inputs(monkeypatch):
     # A right side that compared something trivially equal would survive a
-    # wrong input.  Change one Stirling number as this module sees it, then
-    # one lower family member: every checker that reads it must fail.
+    # wrong input.  Change S1(3, 1) and S2(3, 1) in the rows this module
+    # reads, then one lower family member: every checker that reads it must
+    # fail.
     point = {"k": 2, "a": F(3, 7)}
-    cases = {"T5": point, "E48": point}
+    cases = dict.fromkeys(("T3", "T3H", "T4", "E41", "T5", "E48"), point)
     cases.update(dict.fromkeys(("T8", "E74"), {**point, "s": 2}))
     cases.update(dict.fromkeys(("T9", "E77"), {**point, "s": 2, "lam": F(1, 2)}))
     for ident, params in cases.items():
         assert verify(ident, 6, params).equal, ident
 
-    def off_by_one(table):
-        return lambda n, k: table(n, k) + ((n, k) == (3, 1))
+    def off_by_one(rows):
+        def perturbed(n, second=False):
+            table = [list(row) for row in rows(n, second)]
+            table[3][1] += 1
+            return table
+
+        return perturbed
 
     with monkeypatch.context() as patch:
-        patch.setattr(identities, "stirling1", off_by_one(identities.stirling1))
-        patch.setattr(identities, "stirling2", off_by_one(identities.stirling2))
+        patch.setattr(identities, "stirling_rows", off_by_one(identities.stirling_rows))
         for ident, params in cases.items():
             assert not verify(ident, 6, params).equal, ident
 
@@ -197,36 +203,53 @@ def test_parameter_domain_errors():
     with pytest.raises(ParameterError):
         verify("T1", 1, k=F(1, 2), a=1)  # fractional k
     with pytest.raises(ParameterError):
+        verify("T1", 2.0, k=1, a=1)  # n not an integer
+    with pytest.raises(ParameterError):
+        t3_polynomial(2, 1, 0)
+    with pytest.raises(ParameterError):
+        t3_polynomial(-1, 1, 1)
+    with pytest.raises(ParameterError):
+        t3_polynomial(2, F(1, 2), 1)
+    with pytest.raises(ParameterError):
         verify_grid(("T1", "NOPE"), 1, SINGLETON)
     with pytest.raises(ParameterError):
         verify_grid(("T1",), 1, SINGLETON, jobs=0)
 
 
+def count_checks(monkeypatch) -> list:
+    # Every check calls one catalogue checker; record each call.
+    calls = []
+    for ident, info in list(CATALOGUE.items()):
+        def counted(*args, _checker=info.checker, **kw):
+            calls.append(args)
+            return _checker(*args, **kw)
+
+        monkeypatch.setitem(CATALOGUE, ident, dataclasses.replace(info, checker=counted))
+    return calls
+
+
 def test_verify_grid_rejects_unknown_id_before_checking(monkeypatch):
     # T9 sorts before ZZ; the unknown name must stop the sweep before any
     # check runs, not after T9's whole grid.
-    calls = []
-    real_verify = identities.verify
-    monkeypatch.setattr(
-        identities, "verify", lambda *args, **kw: calls.append(args) or real_verify(*args, **kw)
-    )
+    calls = count_checks(monkeypatch)
     with pytest.raises(ParameterError, match="ZZ"):
         verify_grid(("T9", "ZZ"), 10)
     assert calls == []
+    # The counter sees the checks of a valid grid.
+    results = verify_grid(("T9",), 1, SINGLETON)
+    assert len(calls) == len(results) == 2
 
 
 @pytest.mark.parametrize("axis, values", [("lam_values", (F(1),)), ("s_values", (-1,))])
 def test_verify_grid_rejects_out_of_domain_value_before_checking(monkeypatch, axis, values):
     # Only E74, E77, T8 and T9 read s or lam, and E30 sorts before them all:
     # the bad value must stop the sweep before any identity is checked.
-    calls = []
-    real_verify = identities.verify
-    monkeypatch.setattr(
-        identities, "verify", lambda *args, **kw: calls.append(args) or real_verify(*args, **kw)
-    )
+    calls = count_checks(monkeypatch)
     with pytest.raises(ParameterError):
         verify_grid(ALL_IDS, 3, dataclasses.replace(SINGLETON, **{axis: values}))
     assert calls == []
+    results = verify_grid(ALL_IDS, 3, SINGLETON)
+    assert len(calls) == len(results) > 0
 
 
 def test_verify_grid_leaves_unread_axes_unchecked():
@@ -244,8 +267,8 @@ def test_parameters_are_canonicalized():
 def test_counterexample_path(monkeypatch):
     # No catalogued identity fails, so swap T1's checker for one whose right
     # side is perturbed and follow the mismatch through verify and the CLI.
-    def perturbed(n, k, a):
-        lhs = pc_mixed(n, k, a)
+    def perturbed(group, n):
+        lhs = pc_mixed(n, group.k, group.a)
         return _plain(lhs, lhs + 1)
 
     info = dataclasses.replace(CATALOGUE["T1"], checker=perturbed)
@@ -280,10 +303,10 @@ def test_counterexample_path(monkeypatch):
 def test_worker_error_reaches_the_caller(monkeypatch):
     # A checker that raises inside a worker process raises from verify_grid,
     # and the pool is gone by then.
-    def failing(n, k, a):
-        if a == 2:
+    def failing(group, n):
+        if group.a == 2:
             raise ValueError("checker failed")
-        return _plain(pc_mixed(n, k, a), pc_mixed(n, k, a))
+        return _plain(pc_mixed(n, group.k, group.a), pc_mixed(n, group.k, group.a))
 
     info = dataclasses.replace(CATALOGUE["T1"], checker=failing)
     monkeypatch.setitem(CATALOGUE, "T1", info)
@@ -291,6 +314,44 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     with pytest.raises(ValueError, match="checker failed"):
         verify_grid(("T1",), 2, grid, jobs=2)
     assert multiprocessing.active_children() == []
+
+
+def test_grid_reads_members_and_stirling_rows_once_per_group(monkeypatch):
+    # The checks at one (k, a) share one group.  Each mixed member is looked
+    # up at most twice, by its own group and as a k-1 member by the group of
+    # k+1, and no checker reads the Stirling table.
+    grid = dataclasses.replace(SINGLETON, k_values=(1, 2))
+    # The number tables read Stirling rows the first time they grow; fill
+    # every shared table first, so only the checkers' own reads are counted.
+    verify_grid(ALL_IDS, 4, grid)
+    lookups = collections.Counter()
+    for name in ("pc_mixed", "pc_hat_mixed"):
+        def counted(n, k, a, _name=name, _lookup=getattr(families, name)):
+            lookups[_name, k, a, n] += 1
+            return _lookup(n, k, a)
+
+        monkeypatch.setattr(families, name, counted)
+    stirling_stores = [vars(special._S1_TABLE), vars(special._S2_TABLE)]
+    running, stirling_reads = [], []
+
+    def grown(store, key, n, extend, _grown=special.grown):
+        if running and any(store is table for table in stirling_stores):
+            stirling_reads.append(n)
+        return _grown(store, key, n, extend)
+
+    monkeypatch.setattr(special, "grown", grown)
+    for ident, info in list(CATALOGUE.items()):
+        def flagged(*args, _checker=info.checker, **kw):
+            running.append(True)
+            try:
+                return _checker(*args, **kw)
+            finally:
+                running.pop()
+
+        monkeypatch.setitem(CATALOGUE, ident, dataclasses.replace(info, checker=flagged))
+    assert summarize(verify_grid(ALL_IDS, 4, grid))["failed"] == 0
+    assert lookups and max(lookups.values()) <= 2
+    assert stirling_reads == []
 
 
 def test_notes_present_for_special_cases():
