@@ -33,7 +33,6 @@ from .series import (
     zero_series,
 )
 from .special import (
-    StirlingTable,
     bernoulli_order,
     cauchy_first,
     cauchy_second,

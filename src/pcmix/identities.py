@@ -20,13 +20,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import comb, factorial, lcm, perm
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import families as fam
-from .poly import Poly, Rational, X, as_fraction, from_parts, monomial
+from .poly import Poly, Rational, X, as_fraction, from_parts
 from .series import Series, binomial_pow, exp_neg_series, exp_series, log1p_scaled
 from .sheffer import operator_apply
 from .special import (
@@ -85,9 +85,10 @@ DEFAULT_GRID = Grid(
 # checker reads its inputs from one _Group per verify() call or per (k, a)
 # task group of verify_grid.  The group reads the Stirling rows when built
 # and keeps every other input (members at k and k-1, shifted members, the
-# T6/E60/E61 remainder, the E54/E55 Lif ratio, point values) once a check
-# first asks for it.  Module memos stay for the bases groups share (T8/E74,
-# T9/E77).
+# T6/E60/E61 remainder, the E54/E55 Lif ratio, point values, the number
+# sequences of T8/E74 and T9/E77) once a check first asks for it.  A value
+# read from a shared table in ``special`` or ``families`` is kept by the
+# group only, never in a second module-level cache.
 #
 # Right sides are summed in integers, the way Poly stores its coefficients.
 # The quadratic and deeper scalar sums (the Stirling step, the T5/E48
@@ -125,12 +126,12 @@ class _Group:
         ])
 
     def tails(self, hat: bool) -> list[Poly]:
-        # Remainder coefficients 0..top-2 (T6 at n reads n-1), from a table.
-        key = ("mixed-tail", self.k, self.a, hat)
-        builder = partial(_mixed_tail_series, self.k, self.a, hat)
-        return self._keep(key, lambda: [
-            fam._family_poly(key, builder, n) for n in range(self.top - 2, -1, -1)
-        ][::-1])
+        # Remainder coefficients 0..top-2 (T6 at n reads n-1), from one series.
+        def build():
+            series = _mixed_tail_series(self.k, self.a, hat, self.top - 1)
+            return [series.egf_coefficient(n) for n in range(series.order)]
+
+        return self._keep(("tails", hat), build)
 
     def values(self, hat: bool, x0: int, dk: int = 0) -> tuple[list[int], int]:
         # P(x0) per member as integers over one denominator (the same for all x0).
@@ -150,21 +151,15 @@ class _Group:
 
         return self._keep("lif ratio", build)
 
+    def numbers(self, number: Callable, *args) -> tuple[list[int], int]:
+        # number(e, *args) for e = 0..top, as integers over one denominator.
+        return self._keep(("numbers", number, args), lambda: _over_one_den(
+            [number(e, *args) for e in range(self.top + 1)]))
+
 
 def _factorial_poly(m: int, hat: bool) -> Poly:
     # Rising factorials pair with the first kind, falling ones with the second.
     return (falling_poly if hat else rising_poly)(m)
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_basis(m: int, s: int) -> Poly:
-    # Appell expansion over the number table, independent of the family GF.
-    return Poly([comb(m, j) * bernoulli_order(m - j, s) for j in range(m + 1)])
-
-
-@lru_cache(maxsize=None)
-def _frobenius_basis(m: int, s: int, lam: Fraction) -> Poly:
-    return Poly([comb(m, j) * frobenius_number(m - j, s, lam) for j in range(m + 1)])
 
 
 def _over_one_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -219,14 +214,23 @@ def _stirling_sum(
     return sums, p**n * den
 
 
-def _stirling_expansion(
-    group: _Group, n: int, values: Sequence[int], den: int, basis: Callable, signed: bool
+def _appell_expansion(
+    group: _Group, n: int, values: Sequence[int], den: int,
+    numbers: tuple[Sequence[int], int], signed: bool,
 ) -> Poly:
-    # sum_m c_m basis(m), c_m the Stirling sum over values / den, negated at
-    # odd m if signed: one integer accumulation over one denominator.
+    # sum_m c_m A_m(x), c_m the Stirling sum over values / den, negated at odd
+    # m if signed, and A_m(x) = sum_j C(m, j) N_(m-j) x^j the Appell
+    # polynomial (Roman, The Umbral Calculus, section 2.5) of the number
+    # sequence N = nums / number_den, summed in one integer list.
     sums, den = _stirling_sum(group, n, range(n + 1), values, den)
-    terms = [(basis(m), -c if signed and m % 2 else c) for m, c in enumerate(sums) if c]
-    return _combine(terms, den)
+    nums, number_den = numbers
+    acc = [0] * (n + 1)
+    for m, c in enumerate(sums):
+        if signed and m % 2:
+            c = -c
+        for j in range(m + 1):
+            acc[j] += comb(m, j) * nums[m - j] * c
+    return _poly_over(acc, den * number_den)
 
 
 def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
@@ -315,18 +319,13 @@ def _stirling_triple_sum(group: _Group, n: int, hat: bool, offset: int) -> Poly:
     # The coefficient of x^j is the sum over m >= j and l of
     # sign * C(n, l) * S1(n-l, m) * a^-(n-l) * C(m, j) * (m-j+offset)^(-k),
     # where the sign parity is l+j for the first kind and l+m+j for the second.
-    # The l-sum is the Stirling sum over (-1)^l and does not depend on j.
-    signs = [(-1) ** l for l in range(n + 1)]
-    sums, den = _stirling_sum(group, n, range(n + 1), signs, 1)
-    inner = [(-1) ** (m * hat) * c for m, c in enumerate(sums)]
+    # The l-sum is the Stirling sum over (-1)^l; with (-1)^j = (-1)^m (-1)^(m-j)
+    # the rest is the Appell expansion over (-1)^e (e+offset)^(-k), with the
+    # sign (-1)^m left for the first kind only.
     powers, scale = _inverse_powers(n + offset, group.k)
-    totals = []
-    for j in range(n + 1):
-        total = sum(
-            comb(m, j) * powers[m - j + offset] * inner[m] for m in range(j, n + 1) if inner[m]
-        )
-        totals.append(-total if j % 2 else total)
-    return _poly_over(totals, den * scale)
+    numbers = ([(-1) ** e * powers[e + offset] for e in range(n + 1)], scale)
+    signs = [(-1) ** l for l in range(n + 1)]
+    return _appell_expansion(group, n, signs, 1, numbers, not hat)
 
 
 def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
@@ -345,7 +344,8 @@ def _check_t3(group: _Group, n: int, *, hat: bool) -> dict:
 
 def _check_t4(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 4; with hat, equation (41), which has no (-1)^l.
-    rhs = _stirling_expansion(group, n, *group.values(hat, 0), monomial, not hat)
+    # The Appell expansion over delta_0 is the monomial basis.
+    rhs = _appell_expansion(group, n, *group.values(hat, 0), ([1] + [0] * n, 1), not hat)
     return _plain(group.members(hat)[n], rhs)
 
 
@@ -446,7 +446,7 @@ def _check_t8(group: _Group, n: int, s: int, *, hat: bool) -> dict:
         sum(comb(l, i) * weights[i] * at_s[l - i] for i in range(l + 1)) for l in range(n + 1)
     ]
     den *= cauchy_den * p**n
-    rhs = _stirling_expansion(group, n, values, den, lambda m: _bernoulli_basis(m, s), not hat)
+    rhs = _appell_expansion(group, n, values, den, group.numbers(bernoulli_order, s), not hat)
     return _plain(group.members(hat)[n], rhs)
 
 
@@ -465,7 +465,8 @@ def _check_t9(group: _Group, n: int, s: int, lam: Fraction) -> dict:
         for l in range(n + 1)
     ]
     den *= sq**s
-    rhs = _stirling_expansion(group, n, values, den, lambda m: _frobenius_basis(m, s, lam), True)
+    numbers = group.numbers(frobenius_number, s, lam)
+    rhs = _appell_expansion(group, n, values, den, numbers, True)
     return _plain(group.members(False)[n], rhs)
 
 
@@ -478,7 +479,8 @@ def _check_e77(group: _Group, n: int, s: int, lam: Fraction) -> dict:
     at = [group.values(True, i)[0] for i in range(s + 1)]
     values = [sum(w * at[i][l] for i, w in enumerate(weights)) for l in range(n + 1)]
     den = group.values(True, 0)[1] * (v - u) ** s
-    rhs = _stirling_expansion(group, n, values, den, lambda m: _frobenius_basis(m, s, lam), False)
+    numbers = group.numbers(frobenius_number, s, lam)
+    rhs = _appell_expansion(group, n, values, den, numbers, False)
     return _plain(group.members(True)[n], rhs)
 
 
@@ -893,8 +895,9 @@ def verify_grid(
     identities and grid values given and of ``jobs``: identities sorted, then
     parameters lexicographic in (name, value), with m before n for T7/E67,
     then n.  An unknown identity, a repeated identity or grid value, a value
-    outside the domain of an axis some requested identity reads, or
-    ``jobs < 1`` raises ParameterError before any check runs.
+    outside the domain of an axis some requested identity reads, an
+    ``n_max`` that is not an integer >= 0, or ``jobs < 1`` raises
+    ParameterError before any check runs.
 
     The checks split into groups by (k, a); each group reads its inputs once.
     With ``jobs > 1`` and more than one group, the groups run in up to
@@ -907,6 +910,7 @@ def verify_grid(
     ids = tuple(ids)
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    _check_degree("verify_grid", n_max, 0)
     axis_values = {
         "k": grid.k_values, "a": grid.a_values, "s": grid.s_values, "lam": grid.lam_values,
     }

@@ -17,6 +17,7 @@ each row off the same form of generating function.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, perm
 
 from .poly import Poly, X, from_parts
@@ -90,28 +91,31 @@ class ShefferPair:
         self.g = g
         self.f = f
         self.label = label or "pair"
-        self._fbar: Series | None = None
-        self._h_series: Series | None = None
-        self._egf: Series | None = None
-        self._recurrence_ops: tuple[Series, Series] | None = None
 
     @property
     def order(self) -> int:
         return self.g.order
 
-    @property
+    @cached_property
     def fbar(self) -> Series:
         """Compositional inverse of f, computed once."""
-        if self._fbar is None:
-            self._fbar = self.f.revert()
-        return self._fbar
+        return self.f.revert()
 
-    @property
+    @cached_property
     def _h(self) -> Series:
         """h = 1/g(fbar), the factor in front of exp(x*fbar), computed once."""
-        if self._h_series is None:
-            self._h_series = self.g.compose(self.fbar).inverse()
-        return self._h_series
+        return self.g.compose(self.fbar).inverse()
+
+    @cached_property
+    def _egf(self) -> Series:
+        """h(t) * exp(x*fbar(t)), whose exponential coefficients are the members."""
+        return _sheffer_series(self._h, self.fbar)
+
+    @cached_property
+    def _recurrence_ops(self) -> tuple[Series, Series]:
+        """The operators 1/f'(t) and g'(t)/g(t) of ``recurrence_next``."""
+        inv_fprime = self.f.derivative().inverse()
+        return inv_fprime, self.g.derivative() * self.g.truncate(self.order - 1).inverse()
 
     def polynomial(self, n: int) -> Poly:
         """The degree-n member of the sequence attached to this pair."""
@@ -119,8 +123,6 @@ class ShefferPair:
             raise OrderExhausted(
                 f"{self.label}: degree {n} needs order > {n}, have {self.order}"
             )
-        if self._egf is None:
-            self._egf = _sheffer_series(self._h, self.fbar)
         return self._egf.egf_coefficient(n)
 
     def __repr__(self) -> str:
@@ -169,11 +171,6 @@ def recurrence_next(pair: ShefferPair, s_n: Poly) -> Poly:
             f"{pair.label}: recurrence from degree {s_n.degree} "
             f"needs order >= {s_n.degree + 2}, have {pair.order}"
         )
-    if pair._recurrence_ops is None:
-        shorter = pair.order - 1
-        inv_fprime = pair.f.derivative().inverse()
-        g_ratio = pair.g.derivative() * pair.g.truncate(shorter).inverse()
-        pair._recurrence_ops = (inv_fprime, g_ratio)
     inv_fprime, g_ratio = pair._recurrence_ops
     v = operator_apply(inv_fprime, s_n)
     return X * v - operator_apply(g_ratio, v)

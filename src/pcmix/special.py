@@ -7,9 +7,11 @@ any order by J. C. P. Miller's power recurrence.  That makes these values
 usable as oracles against generating-function extraction, and the identity
 verifiers build their right-hand sides from this module only.
 
-Every shared table in pcmix (the Stirling rows and convolution powers here,
-the family members in ``families``) is a list grown through ``grown``, the
-one place that holds the concurrency argument.
+Every shared table in pcmix is a list grown through ``grown``, the one place
+that holds the concurrency argument: the Stirling rows (one list of rows per
+kind, in ``_STIRLING``) and the convolution powers here, the family members
+in ``families``.  Each value has one cache: the base values read whole
+Stirling rows, and nothing keeps a second copy of a value these tables hold.
 """
 
 from __future__ import annotations
@@ -48,59 +50,44 @@ def grown(store: dict, key: Hashable, n: int, extend: Callable[[list, int], None
     return values
 
 
-class StirlingTable:
-    """Triangular table of Stirling numbers, grown on demand.
+_STIRLING: dict[bool, list[list[int]]] = {}
 
-    kind "first" holds the signed first kind (coefficients of the falling
-    factorial); kind "second" the usual second kind.  ``rows`` is the table
-    published last; enlarging it extends rather than rebuilds.
+
+def _extend_stirling(second: bool, rows: list[list[int]], n: int) -> None:
+    # Row m+1 from row m: S(m+1, j) = S(m, j-1) - m S(m, j) for the signed
+    # first kind and S(m, j-1) + j S(m, j) for the second.
+    if not rows:
+        rows.append([1])
+    while len(rows) <= n:
+        m = len(rows) - 1
+        prev = rows[-1] + [0]
+        rows.append([
+            (prev[j - 1] if j else 0) + (j if second else -m) * prev[j] for j in range(m + 2)
+        ])
+
+
+def stirling_rows(n: int, second: bool = False) -> list[list[int]]:
+    """Rows 0..n at least of the signed first kind, or of the second kind.
+
+    The rows are the table published last; callers never change them.
     """
-
-    def __init__(self, kind: str):
-        if kind not in ("first", "second"):
-            raise ValueError(f"unknown Stirling kind {kind!r}")
-        self.kind = kind
-        self.rows: list[list[int]] = [[1]]
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0 or k > n:
-            raise ValueError(f"Stirling numbers need 0 <= k <= n, got ({n}, {k})")
-        return self.upto(n)[n][k]
-
-    def upto(self, n: int) -> list[list[int]]:
-        """Rows 0..n at least, as published last; callers never change them."""
-        # The instance's attribute dict is the store, so ``rows`` is published.
-        return grown(vars(self), "rows", n, self._extend)
-
-    def _extend(self, rows: list[list[int]], n: int) -> None:
-        # Row m+1 from row m: S(m+1, j) = S(m, j-1) - m S(m, j) for the first
-        # kind and S(m, j-1) + j S(m, j) for the second.
-        first = self.kind == "first"
-        while len(rows) <= n:
-            m = len(rows) - 1
-            prev = rows[-1] + [0]
-            rows.append([
-                (prev[j - 1] if j else 0) + (-m if first else j) * prev[j] for j in range(m + 2)
-            ])
+    return grown(_STIRLING, second, n, partial(_extend_stirling, second))
 
 
-_S1_TABLE = StirlingTable("first")
-_S2_TABLE = StirlingTable("second")
+def _stirling(n: int, k: int, second: bool) -> int:
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"Stirling numbers need 0 <= k <= n, got ({n}, {k})")
+    return stirling_rows(n, second)[n][k]
 
 
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind: [x^k] of the falling factorial."""
-    return _S1_TABLE.value(n, k)
+    return _stirling(n, k, False)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind."""
-    return _S2_TABLE.value(n, k)
-
-
-def stirling_rows(n: int, second: bool = False) -> list[list[int]]:
-    """Rows 0..n at least of the signed first kind, or of the second kind."""
-    return (_S2_TABLE if second else _S1_TABLE).upto(n)
+    return _stirling(n, k, True)
 
 
 @lru_cache(maxsize=None)
@@ -152,26 +139,25 @@ def _convolution_power(key: tuple, base: Callable[[int], Fraction], r: int, n: i
     return grown(_POWERS, (key, r), n, extend_base if r == 1 else extend_power)[n]
 
 
+def _stirling_transform(n: int, second: bool, weight: Callable[[int], Fraction]) -> Fraction:
+    # (1/n!) sum_l S(n, l) weight(l), S the signed first kind or the second
+    # kind, over row n read once.
+    row = stirling_rows(n, second)[n]
+    return sum((s * weight(l) for l, s in enumerate(row)), Fraction(0)) / factorial(n)
+
+
 def _cauchy_base(n: int, second: bool) -> Fraction:
     # [t^n] t/log(1+t) via the integral of the binomial series,
     # (1/n!) * sum_l S1(n, l) / (l + 1); for the second kind,
     # [t^n] t/((1+t)log(1+t)), the same integral shifted by one, which puts
     # (-1)^l in each term.
-    total = sum(
-        (Fraction(stirling1(n, l) * (-1) ** (l * second), l + 1) for l in range(n + 1)),
-        Fraction(0),
-    )
-    return total / factorial(n)
+    return _stirling_transform(n, False, lambda l: Fraction((-1) ** (l * second), l + 1))
 
 
 def _bernoulli_base(n: int) -> Fraction:
     # [t^n] t/(exp(t)-1): Bernoulli number over n!, with the Worpitzky-style
     # closed form B_n = sum_l (-1)^l l! S2(n, l) / (l + 1).
-    total = sum(
-        (Fraction((-1) ** l * factorial(l) * stirling2(n, l), l + 1) for l in range(n + 1)),
-        Fraction(0),
-    )
-    return total / factorial(n)
+    return _stirling_transform(n, True, lambda l: Fraction((-1) ** l * factorial(l), l + 1))
 
 
 def cauchy_first(n: int, r: int) -> Fraction:
@@ -211,14 +197,7 @@ def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
         raise ValueError("Frobenius-Euler numbers need lam != 1")
 
     def base(m: int) -> Fraction:
-        total = sum(
-            (
-                Fraction((-1) ** j * factorial(j) * stirling2(m, j)) * (1 - lam) ** -j
-                for j in range(m + 1)
-            ),
-            Fraction(0),
-        )
-        return total / factorial(m)
+        return _stirling_transform(m, True, lambda j: (-1) ** j * factorial(j) * (1 - lam) ** -j)
 
     return factorial(n) * _convolution_power(("frobenius", lam), base, r, n)
 

@@ -215,6 +215,20 @@ def test_default_grid_output_bytes_are_pinned():
     assert digest == "2ffbc4cc8dae9de38f951a71a2b97213d165dd72172fb590e3c65add39911011"
 
 
+def test_deep_two_group_output_bytes_are_pinned():
+    # Two (k, a) groups up to degree 16: past the default grid, where the
+    # integer sums of the Appell expansions (T3, T4, T8, T9, E77) carry
+    # their largest denominators, and with a k = -1 group whose k-1 members
+    # sit at k = -2.
+    result = run_cli(
+        "verify", "--ids", "all", "--n-max", "16", "--k", "3,-1", "--a", "-5/2",
+        "--format", "json", "--jobs", "1",
+    )
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == "c0ee1701b12990eae2caef480d18a87d85c0f6e460d7319ef65f0297336a7437"
+
+
 def test_table_output_bytes_are_pinned():
     # Deep rows of a mixed family go through every series product of the
     # generating function; the digest pins the exact coefficients and layout.

@@ -81,9 +81,8 @@ def test_stirling_sum_verifiers_beyond_default_degree():
     # n = 14 lies past the default grid's n_max of 10; the point mixes a
     # negative k, a negative non-integer a, s > 1 and a lambda off the
     # integers.  T7/E67 at m = n reach the empty lowered moment.  The T6,
-    # E60 and E61 remainder is read from a family table, so n = 9, 10 and 17
-    # read coefficients 8, 9 and 16, across the table's growth from order 8
-    # to 16 to 32.
+    # E60 and E61 remainder is read off one series per check, so n = 9, 10
+    # and 17 read its coefficients 8, 9 and 16 at orders 9, 10 and 17.
     point = {"k": -2, "a": F(-5, 2)}
     with_s = {**point, "s": 2}
     cases = [(ident, 14, point) for ident in ("T3", "T3H", "T4", "E41", "E54", "E55")]
@@ -111,8 +110,8 @@ def test_bernoulli_expansions_beyond_default_degree():
 def test_right_sides_read_their_inputs(monkeypatch):
     # A right side that compared something trivially equal would survive a
     # wrong input.  Change S1(3, 1) and S2(3, 1) in the rows this module
-    # reads, then one lower family member: every checker that reads it must
-    # fail.
+    # reads, then the Bernoulli and Frobenius-Euler numbers at index 3, then
+    # one lower family member: every checker that reads it must fail.
     point = {"k": 2, "a": F(3, 7)}
     cases = dict.fromkeys(("T3", "T3H", "T4", "E41", "T5", "E48"), point)
     cases.update(dict.fromkeys(("T8", "E74"), {**point, "s": 2}))
@@ -132,6 +131,15 @@ def test_right_sides_read_their_inputs(monkeypatch):
         patch.setattr(identities, "stirling_rows", off_by_one(identities.stirling_rows))
         for ident, params in cases.items():
             assert not verify(ident, 6, params).equal, ident
+
+    with monkeypatch.context() as patch:
+        for name in ("bernoulli_order", "frobenius_number"):
+            def perturbed(e, *args, _number=getattr(identities, name)):
+                return _number(e, *args) + (e == 3)
+
+            patch.setattr(identities, name, perturbed)
+        for ident in ("T8", "E74", "T9", "E77"):
+            assert not verify(ident, 6, cases[ident]).equal, ident
 
     # T5 and E48 read no family member but the left side.
     lower = SimpleNamespace(
@@ -240,13 +248,21 @@ def test_verify_grid_rejects_unknown_id_before_checking(monkeypatch):
     assert len(calls) == len(results) == 2
 
 
-@pytest.mark.parametrize("axis, values", [("lam_values", (F(1),)), ("s_values", (-1,))])
+@pytest.mark.parametrize(
+    "axis, values",
+    [("lam_values", (F(1),)), ("s_values", (-1,)), ("n_max", -3), ("n_max", 2.0)],
+)
 def test_verify_grid_rejects_out_of_domain_value_before_checking(monkeypatch, axis, values):
     # Only E74, E77, T8 and T9 read s or lam, and E30 sorts before them all:
-    # the bad value must stop the sweep before any identity is checked.
+    # the bad value must stop the sweep before any identity is checked.  So
+    # must an n_max that is negative or not an integer.
     calls = count_checks(monkeypatch)
+    if axis == "n_max":
+        n_max, grid = values, SINGLETON
+    else:
+        n_max, grid = 3, dataclasses.replace(SINGLETON, **{axis: values})
     with pytest.raises(ParameterError):
-        verify_grid(ALL_IDS, 3, dataclasses.replace(SINGLETON, **{axis: values}))
+        verify_grid(ALL_IDS, n_max, grid)
     assert calls == []
     results = verify_grid(ALL_IDS, 3, SINGLETON)
     assert len(calls) == len(results) > 0
@@ -331,11 +347,10 @@ def test_grid_reads_members_and_stirling_rows_once_per_group(monkeypatch):
             return _lookup(n, k, a)
 
         monkeypatch.setattr(families, name, counted)
-    stirling_stores = [vars(special._S1_TABLE), vars(special._S2_TABLE)]
     running, stirling_reads = [], []
 
     def grown(store, key, n, extend, _grown=special.grown):
-        if running and any(store is table for table in stirling_stores):
+        if running and store is special._STIRLING:
             stirling_reads.append(n)
         return _grown(store, key, n, extend)
 

@@ -9,7 +9,6 @@ from pcmix import special
 from pcmix.poly import Poly, X
 from pcmix.series import exp_series, log1p_scaled, one_series, t_series
 from pcmix.special import (
-    StirlingTable,
     bernoulli_order,
     cauchy_first,
     cauchy_second,
@@ -105,8 +104,21 @@ def test_stirling_domain_errors():
         stirling1(2, 3)
     with pytest.raises(ValueError):
         stirling2(-1, 0)
-    with pytest.raises(ValueError):
-        StirlingTable("third")
+
+
+def test_stirling_rows_match_sympy():
+    # sympy's stirling() is an independent route to the signed and unsigned
+    # first kind and to the second kind.
+    numbers = pytest.importorskip(
+        "sympy.functions.combinatorial.numbers", reason="the Stirling oracle needs sympy"
+    )
+    n_max = 30
+    first, second = special.stirling_rows(n_max), special.stirling_rows(n_max, second=True)
+    for n in range(n_max + 1):
+        ks = range(n + 1)
+        assert first[n] == [numbers.stirling(n, k, kind=1, signed=True) for k in ks], n
+        assert [abs(s) for s in first[n]] == [numbers.stirling(n, k, kind=1) for k in ks], n
+        assert second[n] == [numbers.stirling(n, k, kind=2) for k in ks], n
 
 
 def test_cauchy_first_values():
@@ -305,22 +317,24 @@ def _stirling2_reference(n, k):
     return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1)) // factorial(k)
 
 
-def test_stirling_table_concurrent_growth():
+def test_stirling_table_concurrent_growth(monkeypatch):
     n_max = 119
     reference = [[_stirling2_reference(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
     for _ in range(10):
-        table = StirlingTable("second")
+        # A fresh store, so every trial grows the rows from scratch.
+        monkeypatch.setattr(special, "_STIRLING", {})
         seen = []
 
         def worker(index):
             for n in range(index, n_max + 1, 3):
-                seen.append((n, n // 2, table.value(n, n // 2)))
+                seen.append((n, n // 2, stirling2(n, n // 2)))
 
         assert _race(worker) == []
         assert all(value == reference[n][k] for n, k, value in seen)
-        assert table.rows == reference[: len(table.rows)]
+        rows = special._STIRLING[True]
+        assert rows == reference[: len(rows)]
         # No thread may replace the table with a shorter copy.
-        assert len(table.rows) > max(n for n, _, _ in seen)
+        assert len(rows) > max(n for n, _, _ in seen)
 
 
 def test_frobenius_numbers_concurrent_growth():
