@@ -25,7 +25,6 @@ from .identities import (
     Grid,
     ParameterError,
     VerificationResult,
-    summarize,
     verify_grid,
 )
 from .poly import Poly
@@ -75,6 +74,12 @@ class IntListType(click.ParamType):
 RATIONAL = RationalType()
 RATIONAL_LIST = RationalListType()
 INT_LIST = IntListType()
+
+# The deepest degree `table` and `verify` accept.  Costs grow as a power of
+# n (a verify group as about n^5), so a larger value is refused before any
+# work starts rather than left to run for hours.
+N_MAX_CEILING = 40
+N_MAX = click.IntRange(0, N_MAX_CEILING)
 
 
 def _pair(value: Fraction) -> list[int]:
@@ -126,7 +131,10 @@ def main():
 @click.option("--k", type=int, default=None, help="integer Lif index k")
 @click.option("--r", type=int, default=None, help="nonnegative order r")
 @click.option("--lambda", "lam", type=RATIONAL, default=None, help="rational parameter, != 1")
-@click.option("--n-max", "n_max", type=int, required=True, help="emit rows n = 0..n-max")
+@click.option(
+    "--n-max", "n_max", type=N_MAX, required=True,
+    help=f"emit rows n = 0..n-max, at most {N_MAX_CEILING}",
+)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def table(family, a, k, r, lam, n_max, fmt):
     """Emit exact coefficient rows for one family, lowest degree first."""
@@ -147,8 +155,6 @@ def table(family, a, k, r, lam, n_max, fmt):
     )
     if extras:
         raise click.UsageError(f"family {family!r} does not take {', '.join(extras)}")
-    if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
     try:
         # Ask for the top row first, so a family is extracted once at order
         # n_max + 1 instead of at every doubled order on the way up.
@@ -219,9 +225,42 @@ def _params_text(params: dict) -> str:
     )
 
 
+# The two encoders `verify` hands to verify_grid, one per format.  Each runs
+# in the worker that checked the task and reduces the task's results to what
+# the report prints, so the parent only joins text and sums counts.
+
+
+def _json_block(results: list[VerificationResult]) -> tuple[str, int, int]:
+    """The task's entries of the JSON report's results list, at their place
+    in it (no brackets, indented by 4), with its checked and failed counts."""
+    text = json.dumps([_result_wire(r) for r in results], indent=2)
+    return "  " + text[2:-2].replace("\n", "\n  "), len(results), sum(not r.equal for r in results)
+
+
+def _text_tally(results: list[VerificationResult]) -> tuple | None:
+    """(identity, checked, equal, as printed, derivation form, first failure
+    lines or None) of the task, or None when it checked nothing."""
+    if not results:
+        return None
+    first = next((r for r in results if not r.equal), None)
+    failure = first and (
+        f"  id={first.identity} n={first.n} {_params_text(first.params)}",
+        f"  lhs = {first.lhs}",
+        f"  rhs = {first.rhs}",
+    )
+    return (
+        results[0].identity,
+        len(results),
+        sum(r.equal for r in results),
+        sum(bool(r.as_printed) for r in results),
+        sum(bool(r.derivation_form) for r in results),
+        failure,
+    )
+
+
 @main.command("verify")
 @click.option("--ids", default="core", help="comma-separated ids, or core/audit/all")
-@click.option("--n-max", "n_max", type=int, default=10)
+@click.option("--n-max", "n_max", type=N_MAX, default=10, help=f"0 to {N_MAX_CEILING}")
 @click.option("--a", "a_values", type=RATIONAL_LIST, default=None, help="grid override")
 @click.option("--k", "k_values", type=INT_LIST, default=None, help="grid override")
 @click.option("--s", "s_values", type=INT_LIST, default=None, help="grid override")
@@ -234,8 +273,6 @@ def _params_text(params: dict) -> str:
 def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt, jobs):
     """Run identity verification over a parameter grid; exact, zero tolerance."""
     id_list = _resolve_ids(ids)
-    if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
     ceiling = _usable_cpus()
     if jobs is None:
         jobs = ceiling
@@ -247,53 +284,52 @@ def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt, jo
         s_values=s_values or DEFAULT_GRID.s_values,
         lam_values=lam_values or DEFAULT_GRID.lam_values,
     )
+    encode = _json_block if fmt == "json" else _text_tally
     try:
-        results = verify_grid(id_list, n_max, grid, jobs=jobs)
+        tasks = verify_grid(id_list, n_max, grid, jobs=jobs, encode=encode)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
-    summary = summarize(results)
-    failures = [r for r in results if not r.equal]
     if fmt == "json":
-        payload = {
-            "grid": {
-                "ids": list(id_list),
-                "n_max": n_max,
-                "a": [str(v) for v in grid.a_values],
-                "k": list(grid.k_values),
-                "s": list(grid.s_values),
-                "lambda": [str(v) for v in grid.lam_values],
-            },
-            "results": [_result_wire(r) for r in results],
-            "summary": summary,
+        grid_wire = {
+            "ids": list(id_list),
+            "n_max": n_max,
+            "a": [str(v) for v in grid.a_values],
+            "k": list(grid.k_values),
+            "s": list(grid.s_values),
+            "lambda": [str(v) for v in grid.lam_values],
         }
-        click.echo(json.dumps(payload, indent=2))
+        # The bytes of json.dumps(payload, indent=2), with the results list
+        # joined from the tasks' blocks; a task with no checks adds nothing.
+        body = ",\n".join(block for block, checked, _ in tasks if checked)
+        results = f"[\n{body}\n  ]" if body else "[]"
+        summary = {"checked": sum(c for _, c, _ in tasks), "failed": sum(f for _, _, f in tasks)}
+        failed = summary["failed"]
+        head = json.dumps({"grid": grid_wire}, indent=2)[:-2]
+        tail = json.dumps({"summary": summary}, indent=2)[2:]
+        click.echo(f'{head},\n  "results": {results},\n{tail}')
     else:
-        by_id: dict[str, list[VerificationResult]] = {}
-        for r in results:
-            by_id.setdefault(r.identity, []).append(r)
+        counts = {ident: [0, 0, 0, 0] for ident in id_list}
+        first = None
+        for tally in filter(None, tasks):
+            ident, *numbers, failure = tally
+            counts[ident] = [x + y for x, y in zip(counts[ident], numbers)]
+            first = first or failure
         lines = []
-        for ident in id_list:
-            rs = by_id.get(ident, [])
-            total = len(rs)
-            ok = sum(1 for r in rs if r.equal)
+        for ident, (total, ok, ap, df) in counts.items():
             if CATALOGUE[ident].tier == "audit":
-                ap = sum(1 for r in rs if r.as_printed)
-                df = sum(1 for r in rs if r.derivation_form)
                 lines.append(
                     f"{ident}: {ok}/{total} verified "
                     f"(as printed {ap}/{total}, derivation form {df}/{total})"
                 )
             else:
                 lines.append(f"{ident}: {ok}/{total} equal")
-        lines.append(f"summary: checked {summary['checked']}, failed {summary['failed']}")
-        if failures:
-            first = failures[0]
-            lines.append("first counterexample:")
-            lines.append(f"  id={first.identity} n={first.n} {_params_text(first.params)}")
-            lines.append(f"  lhs = {first.lhs}")
-            lines.append(f"  rhs = {first.rhs}")
+        checked = sum(total for total, *_ in counts.values())
+        failed = checked - sum(ok for _, ok, *_ in counts.values())
+        lines.append(f"summary: checked {checked}, failed {failed}")
+        if first:
+            lines += ["first counterexample:", *first]
         click.echo("\n".join(lines))
-    if failures:
+    if failed:
         sys.exit(1)
 
 

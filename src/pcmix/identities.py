@@ -108,9 +108,12 @@ class _Group:
         self._kept: dict = {}
 
     def _keep(self, key, build: Callable):
-        if key not in self._kept:
-            self._kept[key] = build()
-        return self._kept[key]
+        # One dict lookup per hit: a key can hold Fractions, whose hash is dear.
+        try:
+            return self._kept[key]
+        except KeyError:
+            value = self._kept[key] = build()
+            return value
 
     def members(self, hat: bool, dk: int = 0) -> list[Poly]:
         # Degrees 0..top at Lif index k + dk, highest first: tables grow once.
@@ -870,8 +873,9 @@ def verify(identity: str, n: int, params: Mapping | None = None, **kwargs) -> Ve
     return _run(_Group(canonical["k"], canonical["a"], n + 1), info, n, canonical)
 
 
-def _check_group(n_max: int, tasks: Sequence[tuple[str, dict]]) -> list[list[VerificationResult]]:
-    """Run the (identity, base params) tasks of one (k, a) on one group."""
+def _check_group(n_max: int, tasks: Sequence[tuple[str, dict]], encode: Callable) -> list:
+    """Run the (identity, base params) tasks of one (k, a) on one group, and
+    return ``encode`` of each task's result list."""
     group = _Group(tasks[0][1]["k"], tasks[0][1]["a"], n_max + 1)
     out = []
     for identity, base in tasks:
@@ -882,13 +886,14 @@ def _check_group(n_max: int, tasks: Sequence[tuple[str, dict]]) -> list[list[Ver
                       for n in range(max(info.n_min, m), n_max + 1)]
         else:
             points = [(n, dict(base)) for n in range(info.n_min, n_max + 1)]
-        out.append([_run(group, info, n, params) for n, params in points])
+        out.append(encode([_run(group, info, n, params) for n, params in points]))
     return out
 
 
 def verify_grid(
-    ids: Iterable[str], n_max: int, grid: Grid | None = None, jobs: int = 1
-) -> list[VerificationResult]:
+    ids: Iterable[str], n_max: int, grid: Grid | None = None, jobs: int = 1,
+    encode: Callable | None = None,
+) -> list:
     """Exhaustively verify the given identities over a parameter grid.
 
     Results come in one canonical order, independent of the order of the
@@ -898,6 +903,13 @@ def verify_grid(
     outside the domain of an axis some requested identity reads, an
     ``n_max`` that is not an integer >= 0, or ``jobs < 1`` raises
     ParameterError before any check runs.
+
+    Without ``encode`` the result is the flat list of VerificationResults.
+    With it, the result is ``encode(results)`` for each task, in task order:
+    one task per identity and point of its axes other than m, its results
+    at every n (and m).  ``encode`` runs where the task ran, so a worker
+    sends back what it returns, not the results; it must be a module-level
+    function (or a partial of one), which a worker can unpickle.
 
     The checks split into groups by (k, a); each group reads its inputs once.
     With ``jobs > 1`` and more than one group, the groups run in up to
@@ -932,7 +944,7 @@ def verify_grid(
     for index, (_, base) in enumerate(tasks):
         groups.setdefault((base["k"], base["a"]), []).append(index)
     work = [[tasks[index] for index in indices] for indices in groups.values()]
-    run = partial(_check_group, n_max)
+    run = partial(_check_group, n_max, encode=encode or list)
     if jobs == 1 or len(work) <= 1:
         done = map(run, work)
     else:
@@ -940,11 +952,13 @@ def verify_grid(
 
         with multiprocessing.get_context("fork").Pool(min(jobs, len(work))) as pool:
             done = list(pool.imap(run, work, chunksize=1))
-    per_task: list[list[VerificationResult]] = [[] for _ in tasks]
+    per_task: list = [None] * len(tasks)
     for indices, group in zip(groups.values(), done):
-        for index, results in zip(indices, group):
-            per_task[index] = results
-    return [result for results in per_task for result in results]
+        for index, item in zip(indices, group):
+            per_task[index] = item
+    if encode is None:
+        return [result for results in per_task for result in results]
+    return per_task
 
 
 def summarize(results: Sequence[VerificationResult]) -> dict:

@@ -203,7 +203,74 @@ def test_verify_jobs_outside_range_exit_2_before_checking(monkeypatch):
     assert calls == []
     assert run_cli("verify", "--ids", "T1", "--jobs", str(ceiling)).exit_code == 0
     assert run_cli("verify", "--ids", "T1").exit_code == 0
-    assert calls == [{"jobs": ceiling}] * 2
+    assert calls == [{"jobs": ceiling, "encode": cli._text_tally}] * 2
+
+
+def test_n_max_above_ceiling_exit_2_before_any_work(monkeypatch):
+    # --n-max runs from 0 to one ceiling for table and verify; a value above
+    # it is refused by the parser, so no family is extracted and no grid is
+    # checked.  The counters stand in for the work, which never runs here.
+    verify_calls, table_calls = [], []
+    monkeypatch.setattr(cli, "verify_grid", lambda *args, **kw: verify_calls.append(args) or [])
+    monkeypatch.setitem(
+        cli._FAMILY_SPECS, "pc-mixed",
+        (("k", "a"), lambda n, p: table_calls.append(n) or ()),
+    )
+    ceiling = cli.N_MAX_CEILING
+    assert ceiling >= 40  # every pinned and benchmarked degree stays valid
+    for n_max in (str(ceiling + 1), str(10**9), "-1"):
+        result = run_cli("verify", "--ids", "T1", "--n-max", n_max)
+        assert result.exit_code == 2
+        assert "--n-max" in result.output
+        result = run_cli("table", "--family", "pc-mixed", "--k", "1", "--a", "1", "--n-max", n_max)
+        assert result.exit_code == 2
+        assert "--n-max" in result.output
+    assert verify_calls == table_calls == []
+    assert run_cli("verify", "--ids", "T1", "--n-max", str(ceiling)).exit_code == 0
+    assert [args[1] for args in verify_calls] == [ceiling]
+    args = ("table", "--family", "pc-mixed", "--k", "1", "--a", "1", "--n-max", str(ceiling))
+    assert run_cli(*args).exit_code == 0
+    assert table_calls[0] == ceiling and len(table_calls) == ceiling + 2
+
+
+@pytest.mark.parametrize("ids, digest", [
+    # E51 starts at n = 1: every task is empty and the results list is [].
+    ("E51", "0e87baa59215fe6e676ab78bf2a91fdf583c6d5206904e767635a0c3bc83e885"),
+    # Empty E51 tasks ahead of T1's leave no blank entry in the list.
+    ("E51,T1", "438c27bf9291e781f8b53bf941ec7851f39a3c017e3586db2d0514c3d3d13b2b"),
+])
+def test_verify_empty_tasks_bytes_are_pinned(monkeypatch, ids, digest):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for jobs in ("1", "2"):
+        result = run_cli(
+            "verify", "--ids", ids, "--n-max", "0", "--format", "json", "--jobs", jobs
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+def test_verify_parent_encodes_nothing_with_workers(monkeypatch):
+    # With --jobs 2 over two (k, a) groups, the workers turn results into
+    # report text; the parent only joins it, so it never calls _result_wire.
+    # At --jobs 1 the same calls run here, which shows the counter counts.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    calls = []
+
+    def counted(result, _wire=cli._result_wire):
+        calls.append(result)
+        return _wire(result)
+
+    monkeypatch.setattr(cli, "_result_wire", counted)
+    args = ("verify", "--ids", "T1,E62", "--n-max", "3", "--k", "1,2", "--a", "1",
+            "--format", "json")
+    outputs = {}
+    for jobs in ("2", "1"):
+        del calls[:]
+        result = run_cli(*args, "--jobs", jobs)
+        assert result.exit_code == 0
+        outputs[jobs] = (result.output, len(calls))
+    assert outputs["2"] == (outputs["1"][0], 0)
+    assert outputs["1"][1] == json.loads(outputs["1"][0])["summary"]["checked"] == 14
 
 
 def test_default_grid_output_bytes_are_pinned():

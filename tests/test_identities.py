@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 from fractions import Fraction as F
@@ -189,6 +190,13 @@ def test_verify_grid_ordering_is_deterministic():
     # Nine (k, a) groups across two worker processes: the same results, in
     # the same order.
     assert verify_grid(("T9", "P2", "T7", "T1"), 3, grid, jobs=2) == twice[0]
+    # An encoder gets each task's results where the task ran and the caller
+    # gets one encoded item per task, in the same order at any jobs: here
+    # T1, P2 and T9 contribute one task per point of their axes, T7 one per
+    # (k, a) with its (m, n) pairs.
+    for jobs in (1, 2):
+        sizes = verify_grid(("T9", "P2", "T7", "T1"), 3, grid, jobs=jobs, encode=len)
+        assert sizes == [4] * 9 + [4] * 9 + [6] * 9 + [4] * 36
 
 
 def test_parameter_domain_errors():
@@ -314,6 +322,9 @@ def test_counterexample_path(monkeypatch):
         assert "first counterexample:" in result.output
         texts.append(result.output)
     assert texts[0] == texts[1]
+    # The text report is summed from per-task tallies; its bytes are pinned.
+    digest = hashlib.sha256(texts[0].encode()).hexdigest()
+    assert digest == "c29912ec594c5648c4e46748448b57cc8f75e6cb7dbb8cd022dcdd0b132f00f9"
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
