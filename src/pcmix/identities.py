@@ -91,12 +91,14 @@ DEFAULT_GRID = Grid(
 # group only, never in a second module-level cache.
 #
 # Right sides are summed in integers, the way Poly stores its coefficients.
-# The quadratic and deeper scalar sums (the Stirling step, the T5/E48
-# quadruple sum, the point-value transforms of T8/E74, T9 and E77) bring
-# their inputs (point values, special numbers, powers of a = p/q and of lam)
-# to integer numerators over one denominator per check and build one
-# Fraction or one Poly, through from_parts, at the end.  _combine sums
-# polynomials with rational weights the same way, in one integer list.
+# The quadratic scalar sums (the Stirling step, the T5/E48 connection sums
+# over Touchard values, the point-value transforms of T8/E74, T9 and E77)
+# bring their inputs (point values, special numbers, powers of a = p/q and
+# of lam) to integer numerators over one denominator per check and build
+# one Fraction or one Poly, through from_parts, at the end.  An Appell
+# combination turns such sums into a polynomial; _combine sums polynomials
+# with rational weights the same way, in one integer list, and serves the
+# per-power comparison of E49/E50 as well.
 
 
 class _Group:
@@ -160,11 +162,6 @@ class _Group:
             [number(e, *args) for e in range(self.top + 1)]))
 
 
-def _factorial_poly(m: int, hat: bool) -> Poly:
-    # Rising factorials pair with the first kind, falling ones with the second.
-    return (falling_poly if hat else rising_poly)(m)
-
-
 def _over_one_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
     # Integer numerators of values over their least common denominator.
     den = lcm(*(v.denominator for v in values))
@@ -191,13 +188,14 @@ def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
     return _poly_over(acc, common * den)
 
 
-def _inverse_powers(top: int, k: int) -> tuple[list[int], int]:
-    # e^-k at index e = 1..top as integers over one denominator: lcm(1..top)^k
-    # when k > 0, and 1 when k <= 0, where e^-k is an integer already.
+def _appell_numbers(n: int, k: int, offset: int) -> tuple[list[int], int]:
+    # (-1)^e (e+offset)^-k at index e = 0..n as integers over one denominator:
+    # lcm(1..n+offset)^k when k > 0, and 1 when k <= 0, where the powers are
+    # integers already.  The number sequence of the T3 and T5 Appell expansions.
     if k <= 0:
-        return [e**-k for e in range(top + 1)], 1
-    scale = lcm(*range(1, top + 1))
-    return [0] + [(scale // e) ** k for e in range(1, top + 1)], scale**k
+        return [(-1) ** e * (e + offset) ** -k for e in range(n + 1)], 1
+    scale = lcm(*range(1, n + offset + 1))
+    return [(-1) ** e * (scale // (e + offset)) ** k for e in range(n + 1)], scale**k
 
 
 def _stirling_sum(
@@ -217,23 +215,30 @@ def _stirling_sum(
     return sums, p**n * den
 
 
-def _appell_expansion(
-    group: _Group, n: int, values: Sequence[int], den: int,
-    numbers: tuple[Sequence[int], int], signed: bool,
+def _appell_combination(
+    sums: Sequence[int], den: int, numbers: tuple[Sequence[int], int], signed: bool
 ) -> Poly:
-    # sum_m c_m A_m(x), c_m the Stirling sum over values / den, negated at odd
-    # m if signed, and A_m(x) = sum_j C(m, j) N_(m-j) x^j the Appell
-    # polynomial (Roman, The Umbral Calculus, section 2.5) of the number
-    # sequence N = nums / number_den, summed in one integer list.
-    sums, den = _stirling_sum(group, n, range(n + 1), values, den)
+    # sum_m c_m A_m(x), c_m = sums[m] / den negated at odd m if signed, and
+    # A_m(x) = sum_j C(m, j) N_(m-j) x^j the Appell polynomial (Roman, The
+    # Umbral Calculus, section 2.5) of the number sequence N = nums /
+    # number_den, summed in one integer list.
     nums, number_den = numbers
-    acc = [0] * (n + 1)
+    acc = [0] * len(sums)
     for m, c in enumerate(sums):
         if signed and m % 2:
             c = -c
         for j in range(m + 1):
             acc[j] += comb(m, j) * nums[m - j] * c
     return _poly_over(acc, den * number_den)
+
+
+def _appell_expansion(
+    group: _Group, n: int, values: Sequence[int], den: int,
+    numbers: tuple[Sequence[int], int], signed: bool,
+) -> Poly:
+    # The Appell combination whose c_m are the Stirling sums over values / den.
+    sums, den = _stirling_sum(group, n, range(n + 1), values, den)
+    return _appell_combination(sums, den, numbers, signed)
 
 
 def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
@@ -246,18 +251,6 @@ def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
     lif_log = lif_series(k, order + 1).compose(log)
     power = binomial_pow(a, X if hat else -X, order)
     return exp_neg_series(order) * lif_log.derivative() * power
-
-
-def _y_samples(n: int) -> list[Fraction]:
-    # Five fixed points, extended to n+1 distinct rationals so that the
-    # degree-n two-variable identity is pinned exactly, not probabilistically.
-    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
-    points += [Fraction(-2), Fraction(3), Fraction(-3)]
-    half = 3
-    while len(points) < n + 1:
-        points.append(Fraction(half, 2))
-        half += 2
-    return points[: max(5, n + 1)]
 
 
 # -- outcome helpers ----------------------------------------------------------
@@ -325,10 +318,8 @@ def _stirling_triple_sum(group: _Group, n: int, hat: bool, offset: int) -> Poly:
     # The l-sum is the Stirling sum over (-1)^l; with (-1)^j = (-1)^m (-1)^(m-j)
     # the rest is the Appell expansion over (-1)^e (e+offset)^(-k), with the
     # sign (-1)^m left for the first kind only.
-    powers, scale = _inverse_powers(n + offset, group.k)
-    numbers = ([(-1) ** e * powers[e + offset] for e in range(n + 1)], scale)
     signs = [(-1) ** l for l in range(n + 1)]
-    return _appell_expansion(group, n, signs, 1, numbers, not hat)
+    return _appell_expansion(group, n, signs, 1, _appell_numbers(n, group.k, offset), not hat)
 
 
 def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
@@ -353,58 +344,53 @@ def _check_t4(group: _Group, n: int, *, hat: bool) -> dict:
 
 
 def _check_t5(group: _Group, n: int, *, hat: bool) -> dict:
-    # Theorem 5; with hat, equation (48).  The order-n Bernoulli expansions
-    # of the two kinds differ only in the sign pattern and the overall (-1)^n.
-    # The coefficient of x^m is a^-n times the sum over r, l, j of
-    # sign * C(n-1, r) B_r^(n) a^l C(n-r, j+l) C(n-r-j-l, m) S2(j+l, l)
-    # (n-r-j-l-m+1)^-k, the sign parity l+m for the first kind and r+j+m for
-    # the second.  Summed in integers: B_r^(n) over one denominator, a^l as
-    # p^l q^(n-l) / q^n with a = p/q, and the powers of n-r-j-l-m+1 as
-    # _inverse_powers gives them; the q^n cancels against a^-n = q^n / p^n.
+    # Theorem 5; with hat, equation (48).  The printed right side is a^-n
+    # times the sum over r, l, j, m of sign * C(n-1, r) B_r^(n) a^l C(n-r, j+l)
+    # C(n-r-j-l, m) S2(j+l, l) (n-r-j-l-m+1)^-k x^m, the sign parity l+m for
+    # the first kind and r+j+m+n for the second.  Grouped by e = j+l, the
+    # l-sum is the Touchard value T_e = sum_l S2(e, l) (-a)^l in both kinds.
+    # Grouped then by d = n-r-e, the m-sum is (-1)^d A_d(x), A_d the Appell
+    # polynomial of T3 over (-1)^e (e+1)^-k, and the second kind's (-1)^(r+e+n)
+    # cancels that (-1)^d.  So the right side is a^-n sum_d c_d A_d(x) with
+    # c_d = sum_{r+e=n-d} C(n-1, r) B_r^(n) C(n-r, e) T_e, negated at odd d
+    # for the first kind only.  Summed in integers: B_r^(n) over one
+    # denominator and (-a)^l as (-p)^l q^(n-l) / q^n with a = p/q, whose q^n
+    # cancels against a^-n = q^n / p^n.
     p, q = group.a.numerator, group.a.denominator
-    s2_rows = group.s2
     bernoulli, den = _over_one_den([bernoulli_order(r, n) for r in range(n)])
-    powers, scale = _inverse_powers(n + 1, group.k)
-    a_powers = [p**l * q ** (n - l) for l in range(n + 1)]
-    coefs = []
-    for m in range(n + 1):
-        total = 0
-        # r = n would carry C(n-1, n) = 0.
-        for r in range(min(n - m, n - 1) + 1):
-            w_r = comb(n - 1, r) * bernoulli[r]
-            for l in range(n - m - r + 1):
-                w_rl = w_r * a_powers[l]
-                for j in range(n - m - r - l + 1):
-                    s2 = s2_rows[j + l][l]
-                    if not s2:
-                        continue
-                    term = (
-                        w_rl
-                        * comb(n - r, j + l)
-                        * comb(n - r - j - l, m)
-                        * s2
-                        * powers[n - r - j - l - m + 1]
-                    )
-                    parity = (r + j + m) if hat else (l + m)
-                    total += -term if parity & 1 else term
-        coefs.append(total)
-    den *= scale * p**n * ((-1) ** n if hat else 1)
-    return _plain(group.members(hat)[n], _poly_over(coefs, den))
+    # r = n would carry C(n-1, n) = 0.
+    weights = [comb(n - 1, r) * b for r, b in enumerate(bernoulli)]
+    a_powers = [(-p) ** l * q ** (n - l) for l in range(n + 1)]
+    touchard = [sum(map(mul, group.s2[e], a_powers)) for e in range(n + 1)]
+    sums = [
+        sum(weights[r] * comb(n - r, d) * touchard[n - r - d] for r in range(min(n - d + 1, n)))
+        for d in range(n + 1)
+    ]
+    rhs = _appell_combination(sums, den * p**n, _appell_numbers(n, group.k, 1), not hat)
+    return _plain(group.members(hat)[n], rhs)
 
 
 def _check_e49(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (49) against rising factorials scaled by (-1/a)^(n-j); with
     # hat, equation (50) against falling factorials scaled by (1/a)^(n-j).
+    # Both sides are polynomials in y, compared coefficient by coefficient,
+    # so the identity is proved for every y.  The y^r coefficient of P_n(x+y)
+    # is sum_i C(i, r) p_i x^(i-r).  The falling factorial (y)_m has the
+    # coefficients S1(m, r) and the rising one (-1)^(m-r) S1(m, r), so the
+    # right side's is sum_j C(n, j) S1(n-j, r) a^-(n-j) P_j(x), negated at
+    # odd r for the first kind.
     members = group.members(hat)
-    step = Fraction(1 if hat else -1) / group.a
-    for y in _y_samples(n):
-        lhs = members[n].compose(Poly((y, 1)))
+    nums, den = members[n].nums, members[n].den
+    inverse = [group.a**-i for i in range(n + 1)]
+    for r in range(n + 1):
+        lhs = _poly_over([comb(i, r) * c for i, c in enumerate(nums[r:], r)], den)
+        sign = -1 if r % 2 and not hat else 1
         rhs = _combine([
-            (members[j], comb(n, j) * step ** (n - j) * _factorial_poly(n - j, hat)(y))
-            for j in range(n + 1)
+            (members[j], sign * comb(n, j) * group.s1[n - j][r] * inverse[n - j])
+            for j in range(n - r + 1)
         ])
         if lhs != rhs:
-            return _outcome(False, lhs, rhs, note=f"first failing sample y = {y}")
+            return _outcome(False, lhs, rhs, note=f"first failing coefficient of y^{r}")
     return _outcome(True, None, None)
 
 
@@ -491,10 +477,9 @@ def _check_t10(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 10 over rising factorials; with hat, the remark after it, over
     # falling factorials.
     members = group.members(hat)
-    base = group.a if hat else -group.a
+    base, factorial_poly = (group.a, falling_poly) if hat else (-group.a, rising_poly)
     rhs = _combine([
-        (_factorial_poly(m, hat), comb(n, m) * base**-m * members[n - m](0))
-        for m in range(n + 1)
+        (factorial_poly(m), comb(n, m) * base**-m * members[n - m](0)) for m in range(n + 1)
     ])
     return _plain(members[n], rhs)
 
@@ -668,15 +653,16 @@ CATALOGUE: dict[str, IdentityInfo] = {
         IdentityInfo(
             "E49", "core", ("k", "a"), 0, "equation (49)",
             "argument-addition rule against scaled rising factorials",
-            "two-variable identity; the shift variable is sampled over "
-            "max(5, n+1) fixed rational points, enough to pin a degree-n "
-            "polynomial identity exactly",
+            "two-variable identity; both sides are expanded in the shift "
+            "variable y and compared coefficient by coefficient, which "
+            "proves it for every y",
             partial(_check_e49, hat=False),
         ),
         IdentityInfo(
             "E50", "core", ("k", "a"), 0, "equation (50)",
             "argument-addition rule against scaled falling factorials",
-            "two-variable identity; same exact sampling scheme as E49",
+            "two-variable identity; compared coefficient by coefficient in "
+            "the shift variable y, as E49",
             partial(_check_e49, hat=True),
         ),
         IdentityInfo(

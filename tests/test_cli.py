@@ -283,17 +283,22 @@ def test_default_grid_output_bytes_are_pinned():
 
 
 def test_deep_two_group_output_bytes_are_pinned():
-    # Two (k, a) groups up to degree 16: past the default grid, where the
-    # integer sums of the Appell expansions (T3, T4, T8, T9, E77) carry
-    # their largest denominators, and with a k = -1 group whose k-1 members
-    # sit at k = -2.
-    result = run_cli(
-        "verify", "--ids", "all", "--n-max", "16", "--k", "3,-1", "--a", "-5/2",
-        "--format", "json", "--jobs", "1",
-    )
-    assert result.exit_code == 0
-    digest = hashlib.sha256(result.output.encode()).hexdigest()
-    assert digest == "c0ee1701b12990eae2caef480d18a87d85c0f6e460d7319ef65f0297336a7437"
+    # (k, a) groups past the default grid's degree, where the integer sums of
+    # the Appell expansions (T3, T4, T5, T8, T9, E77) carry their largest
+    # denominators: two groups up to degree 16, with a k = -1 group whose
+    # k-1 members sit at k = -2, and one group up to degree 24.
+    pins = {
+        ("16", "3,-1"): "c0ee1701b12990eae2caef480d18a87d85c0f6e460d7319ef65f0297336a7437",
+        ("24", "3"): "a3b8055f860f99b6912856a00639f24c3334dbab25dc33fd7af0371e3d8a85dc",
+    }
+    for (n_max, ks), expected in pins.items():
+        result = run_cli(
+            "verify", "--ids", "all", "--n-max", n_max, "--k", ks, "--a", "-5/2",
+            "--format", "json", "--jobs", "1",
+        )
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == expected, (n_max, ks)
 
 
 def test_table_output_bytes_are_pinned():
@@ -315,6 +320,6 @@ def test_describe_known_and_unknown():
     assert run_cli("describe", "ZZZ").exit_code == 2
     e49 = run_cli("describe", "E49")
     assert e49.exit_code == 0
-    assert "sampl" in e49.output  # notes the two-variable sampling strategy
+    assert "coefficient by coefficient" in e49.output  # notes the two-variable strategy
     t1 = run_cli("describe", "T1")
     assert "Theorem 1" in t1.output

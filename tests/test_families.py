@@ -47,6 +47,16 @@ def test_bernoulli_poly_small():
     assert bernoulli_poly(2, 1) == X ** 2 - X + F(1, 6)
 
 
+def test_bernoulli_poly_matches_sympy():
+    # sympy's bernoulli(n, x) is an independent route to the order-1 members
+    # that families extracts from t exp(xt) / (exp(t) - 1).
+    sympy = pytest.importorskip("sympy", reason="the Bernoulli oracle needs sympy")
+    x = sympy.Symbol("x")
+    for n in range(31):
+        expected = sympy.Poly(sympy.bernoulli(n, x), x).all_coeffs()[::-1]
+        assert bernoulli_poly(n, 1).coeffs == tuple(F(int(c.p), int(c.q)) for c in expected), n
+
+
 def test_frobenius_euler_small():
     lam = F(5, 3)
     assert frobenius_euler(0, 2, lam) == Poly((1,))

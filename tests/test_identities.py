@@ -102,10 +102,13 @@ def test_stirling_sum_verifiers_beyond_default_degree():
 
 
 def test_bernoulli_expansions_beyond_default_degree():
-    # k = 3 scales the powers of n-r-j-l-m+1 by lcm(1..14)^3, and n = 13 with
-    # a = -5/2 puts an odd power of a negative numerator in the denominator.
-    for ident in ("T5", "E48"):
-        assert verify(ident, 13, k=3, a=F(-5, 2)).equal, ident
+    # k = 3 scales the Appell numbers (e+1)^-k by lcm(1..n+1)^3, and an odd n
+    # with a = -5/2 puts an odd power of a negative numerator in the
+    # denominator.  E49/E50 compare every power of y up to y^n.
+    cases = [("T5", n) for n in (13, 24)] + [("E48", n) for n in (13, 24)]
+    cases += [(ident, n) for ident in ("E49", "E50") for n in (14, 24)]
+    for ident, n in cases:
+        assert verify(ident, n, k=3, a=F(-5, 2)).equal, (ident, n)
 
 
 def test_right_sides_read_their_inputs(monkeypatch):
@@ -114,7 +117,7 @@ def test_right_sides_read_their_inputs(monkeypatch):
     # reads, then the Bernoulli and Frobenius-Euler numbers at index 3, then
     # one lower family member: every checker that reads it must fail.
     point = {"k": 2, "a": F(3, 7)}
-    cases = dict.fromkeys(("T3", "T3H", "T4", "E41", "T5", "E48"), point)
+    cases = dict.fromkeys(("T3", "T3H", "T4", "E41", "T5", "E48", "E49", "E50"), point)
     cases.update(dict.fromkeys(("T8", "E74"), {**point, "s": 2}))
     cases.update(dict.fromkeys(("T9", "E77"), {**point, "s": 2, "lam": F(1, 2)}))
     for ident, params in cases.items():
@@ -139,7 +142,7 @@ def test_right_sides_read_their_inputs(monkeypatch):
                 return _number(e, *args) + (e == 3)
 
             patch.setattr(identities, name, perturbed)
-        for ident in ("T8", "E74", "T9", "E77"):
+        for ident in ("T5", "E48", "T8", "E74", "T9", "E77"):
             assert not verify(ident, 6, cases[ident]).equal, ident
 
     # T5 and E48 read no family member but the left side.
@@ -148,8 +151,10 @@ def test_right_sides_read_their_inputs(monkeypatch):
         pc_hat_mixed=lambda n, k, a: pc_hat_mixed(n, k, a) + (n == 2),
     )
     monkeypatch.setattr(identities, "fam", lower)
-    for ident in ("T8", "E74", "T9", "E77"):
+    for ident in ("T8", "E74", "T9", "E77", "E49", "E50"):
         assert not verify(ident, 6, cases[ident]).equal, ident
+    # P_2 carries the weight S1(4, r) at y^r, r = 1..4: y^0 still holds.
+    assert verify("E49", 6, point).note == "first failing coefficient of y^1"
 
 
 def test_audit_statuses():
