@@ -105,7 +105,7 @@ def test_bernoulli_expansions_beyond_default_degree():
     # k = 3 scales the Appell numbers (e+1)^-k by lcm(1..n+1)^3, and an odd n
     # with a = -5/2 puts an odd power of a negative numerator in the
     # denominator.  E49/E50 compare every power of y up to y^n.
-    cases = [("T5", n) for n in (13, 24)] + [("E48", n) for n in (13, 24)]
+    cases = [(ident, n) for ident in ("T5", "E48") for n in (13, 24)]
     cases += [(ident, n) for ident in ("E49", "E50") for n in (14, 24)]
     for ident, n in cases:
         assert verify(ident, n, k=3, a=F(-5, 2)).equal, (ident, n)
