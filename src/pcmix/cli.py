@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 import click
 
@@ -51,29 +52,22 @@ class RationalType(click.ParamType):
             self.fail(f"{value!r} is not an exact rational (use integers or p/q)", param, ctx)
 
 
-class RationalListType(click.ParamType):
-    name = "rationals"
+class ListType(click.ParamType):
+    """A comma-separated list, each part read by ``parse``; ``name`` names the parts."""
+
+    def __init__(self, parse, name: str):
+        self.parse, self.name = parse, name
 
     def convert(self, value, param, ctx):
         try:
-            return tuple(_parse_rational(part) for part in str(value).split(","))
+            return tuple(self.parse(part) for part in str(value).split(","))
         except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not a comma-separated list of rationals", param, ctx)
-
-
-class IntListType(click.ParamType):
-    name = "integers"
-
-    def convert(self, value, param, ctx):
-        try:
-            return tuple(int(part) for part in str(value).split(","))
-        except ValueError:
-            self.fail(f"{value!r} is not a comma-separated list of integers", param, ctx)
+            self.fail(f"{value!r} is not a comma-separated list of {self.name}", param, ctx)
 
 
 RATIONAL = RationalType()
-RATIONAL_LIST = RationalListType()
-INT_LIST = IntListType()
+RATIONAL_LIST = ListType(_parse_rational, "rationals")
+INT_LIST = ListType(int, "integers")
 
 # The deepest degree `table` and `verify` accept.  Costs grow as a power of
 # n (a verify group as about n^5), so a larger value is refused before any
@@ -225,21 +219,12 @@ def _params_text(params: dict) -> str:
     )
 
 
-# The two encoders `verify` hands to verify_grid, one per format.  Each runs
-# in the worker that checked the task and reduces the task's results to what
-# the report prints, so the parent only joins text and sums counts.
-
-
-def _json_block(results: list[VerificationResult]) -> tuple[str, int, int]:
-    """The task's entries of the JSON report's results list, at their place
-    in it (no brackets, indented by 4), with its checked and failed counts."""
-    text = json.dumps([_result_wire(r) for r in results], indent=2)
-    return "  " + text[2:-2].replace("\n", "\n  "), len(results), sum(not r.equal for r in results)
-
-
-def _text_tally(results: list[VerificationResult]) -> tuple | None:
+def _task_report(results: list[VerificationResult], as_json: bool) -> tuple | None:
     """(identity, checked, equal, as printed, derivation form, first failure
-    lines or None) of the task, or None when it checked nothing."""
+    lines or None, JSON block or None) of one task, or None when it checked
+    nothing; it runs in the worker that checked the task.  The JSON block,
+    made when ``as_json``, is the task's entries of the report's results list
+    at their place in it (no brackets, indented by 4)."""
     if not results:
         return None
     first = next((r for r in results if not r.equal), None)
@@ -248,6 +233,10 @@ def _text_tally(results: list[VerificationResult]) -> tuple | None:
         f"  lhs = {first.lhs}",
         f"  rhs = {first.rhs}",
     )
+    block = None
+    if as_json:
+        text = json.dumps([_result_wire(r) for r in results], indent=2)
+        block = "  " + text[2:-2].replace("\n", "\n  ")
     return (
         results[0].identity,
         len(results),
@@ -255,6 +244,7 @@ def _text_tally(results: list[VerificationResult]) -> tuple | None:
         sum(bool(r.as_printed) for r in results),
         sum(bool(r.derivation_form) for r in results),
         failure,
+        block,
     )
 
 
@@ -284,11 +274,18 @@ def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt, jo
         s_values=s_values or DEFAULT_GRID.s_values,
         lam_values=lam_values or DEFAULT_GRID.lam_values,
     )
-    encode = _json_block if fmt == "json" else _text_tally
+    encode = partial(_task_report, as_json=fmt == "json")
     try:
-        tasks = verify_grid(id_list, n_max, grid, jobs=jobs, encode=encode)
+        tasks = [t for t in verify_grid(id_list, n_max, grid, jobs=jobs, encode=encode) if t]
     except ParameterError as exc:
         raise click.UsageError(str(exc))
+    counts = {ident: [0, 0, 0, 0] for ident in id_list}
+    first = None
+    for ident, *numbers, failure, _ in tasks:
+        counts[ident] = [x + y for x, y in zip(counts[ident], numbers)]
+        first = first or failure
+    checked = sum(total for total, *_ in counts.values())
+    failed = checked - sum(ok for _, ok, *_ in counts.values())
     if fmt == "json":
         grid_wire = {
             "ids": list(id_list),
@@ -300,20 +297,12 @@ def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt, jo
         }
         # The bytes of json.dumps(payload, indent=2), with the results list
         # joined from the tasks' blocks; a task with no checks adds nothing.
-        body = ",\n".join(block for block, checked, _ in tasks if checked)
+        body = ",\n".join(block for *_, block in tasks)
         results = f"[\n{body}\n  ]" if body else "[]"
-        summary = {"checked": sum(c for _, c, _ in tasks), "failed": sum(f for _, _, f in tasks)}
-        failed = summary["failed"]
         head = json.dumps({"grid": grid_wire}, indent=2)[:-2]
-        tail = json.dumps({"summary": summary}, indent=2)[2:]
+        tail = json.dumps({"summary": {"checked": checked, "failed": failed}}, indent=2)[2:]
         click.echo(f'{head},\n  "results": {results},\n{tail}')
     else:
-        counts = {ident: [0, 0, 0, 0] for ident in id_list}
-        first = None
-        for tally in filter(None, tasks):
-            ident, *numbers, failure = tally
-            counts[ident] = [x + y for x, y in zip(counts[ident], numbers)]
-            first = first or failure
         lines = []
         for ident, (total, ok, ap, df) in counts.items():
             if CATALOGUE[ident].tier == "audit":
@@ -323,8 +312,6 @@ def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt, jo
                 )
             else:
                 lines.append(f"{ident}: {ok}/{total} equal")
-        checked = sum(total for total, *_ in counts.values())
-        failed = checked - sum(ok for _, ok, *_ in counts.values())
         lines.append(f"summary: checked {checked}, failed {failed}")
         if first:
             lines += ["first counterexample:", *first]

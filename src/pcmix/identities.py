@@ -85,10 +85,10 @@ DEFAULT_GRID = Grid(
 # checker reads its inputs from one _Group per verify() call or per (k, a)
 # task group of verify_grid.  The group reads the Stirling rows when built
 # and keeps every other input (members at k and k-1, shifted members, the
-# T6/E60/E61 remainder, the E54/E55 Lif ratio, point values, the number
-# sequences of T8/E74 and T9/E77) once a check first asks for it.  A value
-# read from a shared table in ``special`` or ``families`` is kept by the
-# group only, never in a second module-level cache.
+# T6/E60/E61 remainder, the E54/E55 Lif ratio, point values, the Cauchy,
+# Bernoulli and Frobenius-Euler numbers) once a check first asks for it.  A
+# value read from a shared table in ``special`` or ``families`` is kept by
+# the group only, never in a second module-level cache.
 #
 # Right sides are summed in integers, the way Poly stores its coefficients.
 # The quadratic scalar sums (the Stirling step, the T5/E48 connection sums
@@ -168,13 +168,6 @@ def _over_one_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _poly_over(nums: list[int], den: int) -> Poly:
-    # sum_j nums[j] x^j / den for a nonzero den of either sign.
-    if den < 0:
-        nums, den = [-c for c in nums], -den
-    return from_parts(nums, den)
-
-
 def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
     # sum_i w_i p_i / den over the pairs (p_i, w_i), accumulated as one integer
     # list over the lcm of the terms' denominators.
@@ -185,7 +178,7 @@ def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
         w = w.numerator * (common // d)
         for j, c in enumerate(p.nums):
             acc[j] += w * c
-    return _poly_over(acc, common * den)
+    return from_parts(acc, common * den)
 
 
 def _appell_numbers(n: int, k: int, offset: int) -> tuple[list[int], int]:
@@ -229,7 +222,7 @@ def _appell_combination(
             c = -c
         for j in range(m + 1):
             acc[j] += comb(m, j) * nums[m - j] * c
-    return _poly_over(acc, den * number_den)
+    return from_parts(acc, den * number_den)
 
 
 def _appell_expansion(
@@ -383,7 +376,7 @@ def _check_e49(group: _Group, n: int, *, hat: bool) -> dict:
     nums, den = members[n].nums, members[n].den
     inverse = [group.a**-i for i in range(n + 1)]
     for r in range(n + 1):
-        lhs = _poly_over([comb(i, r) * c for i, c in enumerate(nums[r:], r)], den)
+        lhs = from_parts([comb(i, r) * c for i, c in enumerate(nums[r:], r)], den)
         sign = -1 if r % 2 and not hat else 1
         rhs = _combine([
             (members[j], sign * comb(n, j) * group.s1[n - j][r] * inverse[n - j])
@@ -428,9 +421,9 @@ def _check_t8(group: _Group, n: int, s: int, *, hat: bool) -> dict:
     # with a^-i = q^i p^(n-i) / p^n for a = p/q.
     at_s, den = group.values(hat, s)
     cauchy = cauchy_second if hat else cauchy_first
-    weights, cauchy_den = _over_one_den([cauchy(i, s) for i in range(n + 1)])
+    weights, cauchy_den = group.numbers(cauchy, s)
     p, q = group.a.numerator, group.a.denominator
-    weights = [w * q**i * p ** (n - i) for i, w in enumerate(weights)]
+    weights = [w * q**i * p ** (n - i) for i, w in enumerate(weights[:n + 1])]
     values = [
         sum(comb(l, i) * weights[i] * at_s[l - i] for i in range(l + 1)) for l in range(n + 1)
     ]

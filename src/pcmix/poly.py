@@ -47,10 +47,10 @@ def convolve_into(acc: list[int], a: tuple[int, ...], b: tuple[int, ...]) -> Non
 
 
 def from_parts(nums: list[int], den: int) -> "Poly":
-    """The polynomial ``sum(nums[j] * x**j) / den`` for integers, ``den > 0``.
+    """The polynomial ``sum(nums[j] * x**j) / den`` for integers, ``den != 0``.
 
-    Trims trailing zeros and divides out the common gcd: the one
-    normalisation every operation ends with.
+    Trims trailing zeros and divides out the common gcd, signed like ``den``:
+    the one normalisation every operation ends with.
     """
     while nums and not nums[-1]:
         nums.pop()
@@ -59,6 +59,8 @@ def from_parts(nums: list[int], den: int) -> "Poly":
         p.nums, p.den = (), 1
         return p
     g = gcd(den, *nums)
+    if den < 0:
+        g = -g
     if g != 1:
         nums = [c // g for c in nums]
         den //= g

@@ -209,8 +209,7 @@ class Series:
         c = [[1]]
         for n in range(1, self.order):
             c.append([-x for x in _truncated_product(weighted, c, n, n + 1)[0]])
-        sign = -1 if a0 < 0 else 1
-        return Series([from_parts([x * den * sign ** (n + 1) for x in row], abs(a0) ** (n + 1))
+        return Series([from_parts([x * den for x in row], a0 ** (n + 1))
                        for n, row in enumerate(c)], self.order)
 
     def compose(self, inner: "Series") -> "Series":

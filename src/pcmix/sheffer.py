@@ -2,9 +2,9 @@
 
 A constant-coefficient series f acts two ways on polynomials:
 
-* as a linear functional, pairing the n-th exponential coefficient of f
-  with the x^n coefficient of the polynomial (``apply_functional``);
-* as a differential operator, t acting as d/dx (``operator_apply``).
+* as a differential operator, t acting as d/dx (``operator_apply``);
+* as a linear functional, the constant term of that operator's image
+  (``apply_functional``).
 
 A Sheffer pair (g, f) with g invertible and f delta determines a unique
 polynomial sequence with generating function h(t) * exp(x*fbar(t)), where
@@ -41,19 +41,10 @@ def _require_constant(f: Series, what: str) -> None:
 def apply_functional(f: Series, p: Poly) -> Fraction:
     """Pair the series f, read as a linear functional, with the polynomial p.
 
-    The value is the sum over n of n! * [t^n] f * [x^n] p; the order of f
-    must cover the degree of p.
+    The value is f(t) p(x) at x = 0, the sum over n of n! * [t^n] f * [x^n] p
+    (Roman, *The Umbral Calculus*); the order of f must cover the degree of p.
     """
-    _require_constant(f, "a functional")
-    if f.order <= p.degree:
-        raise OrderExhausted(
-            f"functional of order {f.order} cannot see degree {p.degree}"
-        )
-    total = Fraction(0)
-    for n, c in enumerate(p.coeffs):
-        if c:
-            total += factorial(n) * f.coeffs[n].constant_value * c
-    return total
+    return operator_apply(f, p).coefficient(0)
 
 
 def operator_apply(f: Series, p: Poly) -> Poly:

@@ -8,9 +8,9 @@ usable as oracles against generating-function extraction, and the identity
 verifiers build their right-hand sides from this module only.
 
 Every shared table in pcmix is a list grown through ``grown``, the one place
-that holds the concurrency argument: the Stirling rows (one list of rows per
-kind, in ``_STIRLING``) and the convolution powers here, the family members
-in ``families``.  Each value has one cache: the base values read whole
+that holds the concurrency argument: the Stirling rows, the factorial
+polynomials and the convolution powers here, the family members in
+``families``.  Each value has one cache: the base values read whole
 Stirling rows, and nothing keeps a second copy of a value these tables hold.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import factorial
 from typing import Callable, Hashable
 
@@ -90,26 +90,29 @@ def stirling2(n: int, k: int) -> int:
     return _stirling(n, k, True)
 
 
-@lru_cache(maxsize=None)
+_FACTORIALS: dict[int, list[Poly]] = {}
+
+
+def _extend_factorial(step: int, polys: list[Poly], n: int) -> None:
+    # Degree m+1 is degree m times (x + m step): step -1 falling, +1 rising.
+    if not polys:
+        polys.append(Poly((1,)))
+    while len(polys) <= n:
+        polys.append(polys[-1] * Poly(((len(polys) - 1) * step, 1)))
+
+
 def falling_poly(n: int) -> Poly:
     """Falling factorial x*(x-1)*...*(x-n+1) as a polynomial."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    p = Poly((1,))
-    for i in range(n):
-        p = p * Poly((-i, 1))
-    return p
+    return grown(_FACTORIALS, -1, n, partial(_extend_factorial, -1))[n]
 
 
-@lru_cache(maxsize=None)
 def rising_poly(n: int) -> Poly:
     """Rising factorial x*(x+1)*...*(x+n-1) as a polynomial."""
     if n < 0:
         raise ValueError("rising factorial needs n >= 0")
-    p = Poly((1,))
-    for i in range(n):
-        p = p * Poly((i, 1))
-    return p
+    return grown(_FACTORIALS, 1, n, partial(_extend_factorial, 1))[n]
 
 
 # -- convolution powers of ordinary coefficient sequences -------------------

@@ -203,7 +203,11 @@ def test_verify_jobs_outside_range_exit_2_before_checking(monkeypatch):
     assert calls == []
     assert run_cli("verify", "--ids", "T1", "--jobs", str(ceiling)).exit_code == 0
     assert run_cli("verify", "--ids", "T1").exit_code == 0
-    assert calls == [{"jobs": ceiling, "encode": cli._text_tally}] * 2
+    assert len(calls) == 2
+    for call in calls:
+        assert set(call) == {"jobs", "encode"} and call["jobs"] == ceiling
+        assert call["encode"].func is cli._task_report
+        assert call["encode"].keywords == {"as_json": False}
 
 
 def test_n_max_above_ceiling_exit_2_before_any_work(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmix.poly import Poly, X, monomial
+from pcmix.poly import Poly, X, from_parts, monomial
 
 
 def test_trailing_zeros_trimmed():
@@ -185,3 +185,11 @@ def test_scaled_inputs_share_one_representation():
     assert (p.nums, p.den) == ((3, 2), 6)
     assert (Poly((0, 0)).nums, Poly((0, 0)).den) == ((), 1)
     assert (Poly((F(2, 4), 0)).nums, Poly((F(2, 4), 0)).den) == ((1,), 2)
+
+
+def test_from_parts_folds_the_denominator_sign():
+    p = from_parts([2, -4], -6)
+    assert p == Poly((F(-1, 3), F(2, 3)))
+    assert (p.nums, p.den) == ((-1, 2), 3)
+    assert from_parts([0, 0], -5) == Poly()
+    assert (from_parts([0, 0], -5).nums, from_parts([0, 0], -5).den) == ((), 1)

@@ -1,3 +1,5 @@
+import functools
+import operator
 import sys
 import threading
 from fractions import Fraction as F
@@ -335,6 +337,35 @@ def test_stirling_table_concurrent_growth(monkeypatch):
         assert rows == reference[: len(rows)]
         # No thread may replace the table with a shorter copy.
         assert len(rows) > max(n for n, _, _ in seen)
+
+
+def test_factorial_table_concurrent_growth(monkeypatch):
+    n_max = 60
+    # Explicit products, independent of the table's step-by-step growth.
+    reference = {
+        step: [Poly((1,))] + [
+            functools.reduce(operator.mul, (Poly((i * step, 1)) for i in range(n)))
+            for n in range(1, n_max + 1)
+        ]
+        for step in (-1, 1)
+    }
+    for _ in range(10):
+        # A fresh store, so every trial grows both tables from scratch.
+        monkeypatch.setattr(special, "_FACTORIALS", {})
+        seen = []
+
+        def worker(index):
+            lookup, step = (falling_poly, -1) if index % 2 else (rising_poly, 1)
+            for n in range(index // 2, n_max + 1, 4):
+                seen.append((step, n, lookup(n)))
+
+        assert _race(worker) == []
+        assert all(value == reference[step][n] for step, n, value in seen)
+        for step in (-1, 1):
+            polys = special._FACTORIALS[step]
+            assert polys == reference[step][: len(polys)]
+            # No thread may replace the table with a shorter copy.
+            assert len(polys) > max(n for s, n, _ in seen if s == step)
 
 
 def test_frobenius_numbers_concurrent_growth():
