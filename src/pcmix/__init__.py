@@ -74,7 +74,6 @@ from .identities import (
     Grid,
     ParameterError,
     VerificationResult,
-    summarize,
     verify,
     verify_grid,
 )

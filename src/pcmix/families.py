@@ -54,18 +54,23 @@ def poisson_charlier_series(a: Rational, order: int) -> Series:
     return exp_neg_series(order) * binomial_pow(a, X, order)
 
 
+def lif_log(k: int, a: Rational, hat: bool, order: int) -> Series:
+    """Lif_k(log(1 + t/a)), or Lif_k(-log(1 + t/a)) with ``hat``.
+
+    The Lif-log factor of the poly-Cauchy and mixed generating functions.
+    """
+    log = log1p_scaled(a, order)
+    return lif_series(k, order).compose(log * Fraction(-1) if hat else log)
+
+
 def poly_cauchy_first_series(k: int, order: int) -> Series:
     """(1+t)^(-x) * Lif_k(log(1+t))."""
-    return binomial_pow(1, -X, order) * lif_series(k, order).compose(
-        log1p_scaled(1, order)
-    )
+    return binomial_pow(1, -X, order) * lif_log(k, 1, False, order)
 
 
 def poly_cauchy_second_series(k: int, order: int) -> Series:
     """(1+t)^x * Lif_k(-log(1+t))."""
-    return binomial_pow(1, X, order) * lif_series(k, order).compose(
-        log1p_scaled(1, order) * Fraction(-1)
-    )
+    return binomial_pow(1, X, order) * lif_log(k, 1, True, order)
 
 
 def bernoulli_series(r: int, order: int) -> Series:
@@ -88,15 +93,13 @@ def frobenius_euler_series(r: int, lam: Rational, order: int) -> Series:
 def pc_mixed_series(k: int, a: Rational, order: int) -> Series:
     """exp(-t) * Lif_k(log(1 + t/a)) * (1 + t/a)^(-x)."""
     a = _check_a(a)
-    lif_log = lif_series(k, order).compose(log1p_scaled(a, order))
-    return exp_neg_series(order) * lif_log * binomial_pow(a, -X, order)
+    return exp_neg_series(order) * lif_log(k, a, False, order) * binomial_pow(a, -X, order)
 
 
 def pc_hat_mixed_series(k: int, a: Rational, order: int) -> Series:
     """exp(-t) * Lif_k(-log(1 + t/a)) * (1 + t/a)^x."""
     a = _check_a(a)
-    lif_log = lif_series(k, order).compose(log1p_scaled(a, order) * Fraction(-1))
-    return exp_neg_series(order) * lif_log * binomial_pow(a, X, order)
+    return exp_neg_series(order) * lif_log(k, a, True, order) * binomial_pow(a, X, order)
 
 
 # -- cached extraction -------------------------------------------------------

@@ -27,16 +27,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import families as fam
 from .poly import Poly, Rational, X, as_fraction, from_parts
-from .series import Series, binomial_pow, exp_neg_series, exp_series, log1p_scaled
+from .series import Series, binomial_pow, exp_neg_series, exp_series
 from .sheffer import operator_apply
 from .special import (
     bernoulli_order,
     cauchy_first,
     cauchy_second,
-    falling_poly,
     frobenius_number,
     lif_series,
-    rising_poly,
     stirling_rows,
 )
 
@@ -238,12 +236,8 @@ def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
     # exp(-t) * d/dt[Lif_k(+-log(1+t/a))] * (1+t/a)^(-+x), upper signs for the
     # first kind: the product-rule remainder term in the derivative-functional
     # split of the mixed generating function.
-    log = log1p_scaled(a, order + 1)
-    if hat:
-        log = log * Fraction(-1)
-    lif_log = lif_series(k, order + 1).compose(log)
     power = binomial_pow(a, X if hat else -X, order)
-    return exp_neg_series(order) * lif_log.derivative() * power
+    return exp_neg_series(order) * fam.lif_log(k, a, hat, order + 1).derivative() * power
 
 
 # -- outcome helpers ----------------------------------------------------------
@@ -467,12 +461,14 @@ def _check_e77(group: _Group, n: int, s: int, lam: Fraction) -> dict:
 
 
 def _check_t10(group: _Group, n: int, *, hat: bool) -> dict:
-    # Theorem 10 over rising factorials; with hat, the remark after it, over
-    # falling factorials.
+    # Theorem 10 over rising factorials, whose coefficients are |S1(m, j)|;
+    # with hat, the remark after it, over falling factorials, S1(m, j).
     members = group.members(hat)
-    base, factorial_poly = (group.a, falling_poly) if hat else (-group.a, rising_poly)
+    base = group.a if hat else -group.a
     rhs = _combine([
-        (factorial_poly(m), comb(n, m) * base**-m * members[n - m](0)) for m in range(n + 1)
+        (from_parts([c if hat else abs(c) for c in group.s1[m]], 1),
+         comb(n, m) * base**-m * members[n - m](0))
+        for m in range(n + 1)
     ])
     return _plain(members[n], rhs)
 
@@ -938,9 +934,3 @@ def verify_grid(
     if encode is None:
         return [result for results in per_task for result in results]
     return per_task
-
-
-def summarize(results: Sequence[VerificationResult]) -> dict:
-    """Checked/failed counts; a result counts as failed when no form holds."""
-    failed = sum(1 for r in results if not r.equal)
-    return {"checked": len(results), "failed": failed}

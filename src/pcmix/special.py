@@ -8,10 +8,11 @@ usable as oracles against generating-function extraction, and the identity
 verifiers build their right-hand sides from this module only.
 
 Every shared table in pcmix is a list grown through ``grown``, the one place
-that holds the concurrency argument: the Stirling rows, the factorial
-polynomials and the convolution powers here, the family members in
-``families``.  Each value has one cache: the base values read whole
-Stirling rows, and nothing keeps a second copy of a value these tables hold.
+that holds the concurrency argument: the Stirling rows and the convolution
+powers here, the family members in ``families``.  Each value has one cache:
+the factorial polynomials are first-kind Stirling rows, the base values read
+whole Stirling rows, and nothing keeps a second copy of a value these tables
+hold.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import partial
 from math import factorial
 from typing import Callable, Hashable
 
-from .poly import Poly, Rational, as_fraction
+from .poly import Poly, Rational, as_fraction, from_parts
 from .series import Series
 
 _GROW_LOCK = threading.RLock()
@@ -90,29 +91,18 @@ def stirling2(n: int, k: int) -> int:
     return _stirling(n, k, True)
 
 
-_FACTORIALS: dict[int, list[Poly]] = {}
-
-
-def _extend_factorial(step: int, polys: list[Poly], n: int) -> None:
-    # Degree m+1 is degree m times (x + m step): step -1 falling, +1 rising.
-    if not polys:
-        polys.append(Poly((1,)))
-    while len(polys) <= n:
-        polys.append(polys[-1] * Poly(((len(polys) - 1) * step, 1)))
-
-
 def falling_poly(n: int) -> Poly:
-    """Falling factorial x*(x-1)*...*(x-n+1) as a polynomial."""
+    """Falling factorial x*(x-1)*...*(x-n+1): row n of the signed first kind."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    return grown(_FACTORIALS, -1, n, partial(_extend_factorial, -1))[n]
+    return from_parts(list(stirling_rows(n)[n]), 1)
 
 
 def rising_poly(n: int) -> Poly:
-    """Rising factorial x*(x+1)*...*(x+n-1) as a polynomial."""
+    """Rising factorial x*(x+1)*...*(x+n-1): row n of the unsigned first kind."""
     if n < 0:
         raise ValueError("rising factorial needs n >= 0")
-    return grown(_FACTORIALS, 1, n, partial(_extend_factorial, 1))[n]
+    return from_parts(list(map(abs, stirling_rows(n)[n])), 1)
 
 
 # -- convolution powers of ordinary coefficient sequences -------------------

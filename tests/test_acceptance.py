@@ -24,7 +24,6 @@ from pcmix.identities import (
     AUDIT_IDS,
     CORE_IDS,
     DEFAULT_GRID,
-    summarize,
     t3_polynomial,
     verify_grid,
 )
@@ -59,11 +58,9 @@ def test_criterion_1_core_identity_suite():
     elapsed = time.time() - start
     failures = [r for r in results if not r.equal]
     assert not failures, failures[:3]
-    summary = summarize(results)
-    assert summary["failed"] == 0
     _report(
         "criterion 1 (core identity suite)",
-        f"{summary['checked']} grid points equal exactly in {elapsed:.1f}s",
+        f"{len(results)} grid points equal exactly in {elapsed:.1f}s",
     )
 
 

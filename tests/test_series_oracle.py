@@ -7,6 +7,8 @@
   product-form generating functions expanded by ``rs_log``, ``rs_exp`` and
   ``rs_mul``, with Lif_k summed from powers of its argument; pcmix builds
   them through its own series kernel and composition.
+* The remainder series of Theorem 6 (``identities._mixed_tail_series``)
+  against the same factors, with the Lif factor differentiated by sympy.
 
 Both sides are exact over Q, so the coefficients must agree one by one.
 """
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from pcmix import families as fam
 from pcmix.families import catalogue_pairs
+from pcmix.identities import _mixed_tail_series
 from pcmix.series import Series
 
 sympy = pytest.importorskip("sympy", reason="the series oracle needs sympy")
@@ -133,3 +136,17 @@ def test_families_match_sympy_generating_functions(family, k, a):
     for n in range(GF_ORDER):
         member = lookup(n, *args.get(family, (k, a)))
         assert list(member.coeffs) == expected[n], (family, k, a, n)
+
+
+@pytest.mark.parametrize("hat", (False, True), ids=("first", "second"))
+@pytest.mark.parametrize("k, a", [(k, a) for k in (-1, 2) for a in A_VALUES], ids=str)
+def test_mixed_tail_matches_sympy(hat, k, a):
+    # exp(-t) d/dt[Lif_k(+-log(1 + t/a))] (1 + t/a)^(-+x), upper signs for
+    # the first kind; the derivative is exact below t^(GF_ORDER - 1).
+    log, binomial = log_and_binomial(a)
+    lif_prime = lif(k, -log if hat else log).diff(gt)
+    power = binomial if hat else negate_x(binomial)
+    expected = gf_members((rs_exp(-gt, gt, GF_ORDER), lif_prime, power))
+    series = _mixed_tail_series(k, a, hat, GF_ORDER - 1)
+    for n in range(series.order):
+        assert list(series.egf_coefficient(n).coeffs) == expected[n], (hat, k, a, n)

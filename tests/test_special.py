@@ -274,14 +274,20 @@ def test_lif_index_difference():
             assert diff.coeffs[n].constant_value == expected
 
 
+def _factorial_product(n, step):
+    # x(x + step)...(x + (n-1) step) multiplied out, independent of the tables.
+    return functools.reduce(operator.mul, (Poly((i * step, 1)) for i in range(n)), Poly((1,)))
+
+
 def test_factorial_polynomials():
-    assert falling_poly(0) == Poly((1,)) and rising_poly(0) == Poly((1,))
     assert falling_poly(2) == X ** 2 - X
     assert rising_poly(2) == X ** 2 + X
-    for n in range(11):
-        assert rising_poly(n) == falling_poly(n).compose(-X) * (-1) ** n
-        for k in range(n + 1):
-            assert falling_poly(n).coefficient(k) == stirling1(n, k)
+    for n in range(21):
+        assert falling_poly(n) == _factorial_product(n, -1)
+        assert rising_poly(n) == _factorial_product(n, 1)
+    for lookup in (falling_poly, rising_poly):
+        with pytest.raises(ValueError):
+            lookup(-1)
 
 
 # -- concurrent readers --------------------------------------------------------
@@ -341,17 +347,10 @@ def test_stirling_table_concurrent_growth(monkeypatch):
 
 def test_factorial_table_concurrent_growth(monkeypatch):
     n_max = 60
-    # Explicit products, independent of the table's step-by-step growth.
-    reference = {
-        step: [Poly((1,))] + [
-            functools.reduce(operator.mul, (Poly((i * step, 1)) for i in range(n)))
-            for n in range(1, n_max + 1)
-        ]
-        for step in (-1, 1)
-    }
+    reference = {step: [_factorial_product(n, step) for n in range(n_max + 1)] for step in (-1, 1)}
     for _ in range(10):
-        # A fresh store, so every trial grows both tables from scratch.
-        monkeypatch.setattr(special, "_FACTORIALS", {})
+        # A fresh store, so every trial grows the first-kind rows from scratch.
+        monkeypatch.setattr(special, "_STIRLING", {})
         seen = []
 
         def worker(index):
@@ -361,11 +360,10 @@ def test_factorial_table_concurrent_growth(monkeypatch):
 
         assert _race(worker) == []
         assert all(value == reference[step][n] for step, n, value in seen)
-        for step in (-1, 1):
-            polys = special._FACTORIALS[step]
-            assert polys == reference[step][: len(polys)]
-            # No thread may replace the table with a shorter copy.
-            assert len(polys) > max(n for s, n, _ in seen if s == step)
+        rows = special._STIRLING[False]
+        assert rows == [list(p.nums) for p in reference[-1][: len(rows)]]
+        # No thread may replace the table with a shorter copy.
+        assert len(rows) > max(n for _, n, _ in seen)
 
 
 def test_frobenius_numbers_concurrent_growth():
