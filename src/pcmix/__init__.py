@@ -47,10 +47,8 @@ from .sheffer import (
     ShefferPair,
     apply_functional,
     connection_coefficients,
-    derivative_functional_check,
     operator_apply,
     recurrence_next,
-    sheffer_orthogonality_check,
     transfer_check,
 )
 from .families import (

@@ -140,10 +140,6 @@ class Series:
         c1 = self.coeffs[1]
         return c1.is_constant and not c1.is_zero
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
     def _require_same_order(self, other: "Series") -> None:
         if self.order != other.order:
             raise OrderMismatch(f"order {self.order} vs {other.order}")

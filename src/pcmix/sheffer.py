@@ -10,8 +10,10 @@ A Sheffer pair (g, f) with g invertible and f delta determines a unique
 polynomial sequence with generating function h(t) * exp(x*fbar(t)), where
 fbar is the compositional inverse of f and h = 1/g(fbar) (Roman, *The Umbral
 Calculus*, Thm 2.3.4).  ``ShefferPair.polynomial`` reads each member off that
-series as an exponential coefficient, and ``connection_coefficients`` reads
-each row off the same form of generating function.
+series as an exponential coefficient.  The members obey the orthogonality rule
+<g f^m | s_n> = n! delta(n, m), so any polynomial p equals the sum over m of
+<g f^m | p>/m! * s_m(x), the expansion theorem of Roman's section 2.3;
+``connection_coefficients`` reads each row off that sum.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ def operator_apply(f: Series, p: Poly) -> Poly:
                        for j in range(len(nums))], den * p.den)
 
 
-def _sheffer_series(h: Series, inner: Series) -> Series:
-    """h(t) * exp(x * inner(t)): its n-th exponential coefficient is a polynomial in x."""
-    return h * exp_xt(h.order).compose(inner)
-
-
 class ShefferPair:
     """A pair (g, f): g invertible, f delta, both with x-free coefficients."""
 
@@ -93,14 +90,9 @@ class ShefferPair:
         return self.f.revert()
 
     @cached_property
-    def _h(self) -> Series:
-        """h = 1/g(fbar), the factor in front of exp(x*fbar), computed once."""
-        return self.g.compose(self.fbar).inverse()
-
-    @cached_property
     def _egf(self) -> Series:
-        """h(t) * exp(x*fbar(t)), whose exponential coefficients are the members."""
-        return _sheffer_series(self._h, self.fbar)
+        """h(t) * exp(x*fbar(t)) with h = 1/g(fbar): the members' generating function."""
+        return self.g.compose(self.fbar).inverse() * exp_xt(self.order).compose(self.fbar)
 
     @cached_property
     def _recurrence_ops(self) -> tuple[Series, Series]:
@@ -120,35 +112,25 @@ class ShefferPair:
         return f"ShefferPair({self.label}, order={self.order})"
 
 
-def sheffer_orthogonality_check(pair: ShefferPair, n_max: int) -> bool:
-    """True iff <g * f^k | s_n> equals n! * delta(n, k) for all n, k <= n_max."""
-    if n_max >= pair.order:
-        raise OrderExhausted(f"n_max {n_max} needs order > {n_max}")
-    running = pair.g
-    for k in range(n_max + 1):
-        for n in range(n_max + 1):
-            expected = Fraction(factorial(n)) if n == k else Fraction(0)
-            if apply_functional(running, pair.polynomial(n)) != expected:
-                return False
-        running = running * pair.f
-    return True
-
-
 def connection_coefficients(
     source: ShefferPair, target: ShefferPair, n: int
 ) -> list[Fraction]:
     """Coefficients expanding the source sequence member over the target basis.
 
-    Returns the row c[0..n] with source_n(x) = sum of c[m] * target_m(x).
+    Returns the row c[0..n] with source_n(x) = sum of c[m] * target_m(x).  By
+    the expansion theorem c[m] = <g f^m | source_n>/m! for the target's (g, f);
+    the operators commute, so f is applied to the image of g one step at a time.
     """
     if source.order != target.order:
         raise SeriesError("connection needs pairs of equal order")
     if not 0 <= n < source.order:
         raise OrderExhausted(f"degree {n} needs order > {n}")
-    fbar = source.fbar
-    base = target.g.compose(fbar) * source._h
-    member = _sheffer_series(base, target.f.compose(fbar)).egf_coefficient(n)
-    return [member.coefficient(m) for m in range(n + 1)]
+    image = operator_apply(target.g, source.polynomial(n))
+    row = [image.coefficient(0)]
+    for m in range(1, n + 1):
+        image = operator_apply(target.f, image)
+        row.append(image.coefficient(0) / factorial(m))
+    return row
 
 
 def recurrence_next(pair: ShefferPair, s_n: Poly) -> Poly:
@@ -185,10 +167,3 @@ def transfer_check(f: Series, g: Series, n: int) -> bool:
     lowered = p_n.divide_x()  # associated sequences vanish at 0 for n >= 1
     mapped = X * operator_apply(ratio ** n, lowered)
     return mapped == q_n
-
-
-def derivative_functional_check(f: Series, p: Poly) -> bool:
-    """Check <f(t) | x p(x)> against <df/dt | p(x)>."""
-    if f.order < p.degree + 2:
-        raise OrderExhausted("the check needs order >= degree(p) + 2")
-    return apply_functional(f, X * p) == apply_functional(f.derivative(), p)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 from fractions import Fraction as F
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,14 @@ from click.testing import CliRunner
 
 from pcmix import cli, families, identities, special
 from pcmix.cli import main
-from pcmix.families import mixed_pair, pc_hat_mixed, pc_mixed, rising_pair
+from pcmix.families import (
+    falling_pair,
+    mixed_hat_pair,
+    mixed_pair,
+    pc_hat_mixed,
+    pc_mixed,
+    rising_pair,
+)
 from pcmix.identities import (
     ALL_IDS,
     AUDIT_IDS,
@@ -54,14 +62,21 @@ def test_t1_first_order_assembly():
 
 
 def test_t10_cross_checked_against_connection_coefficients():
-    n, k, a = 2, 0, F(1)
-    assert verify("T10", n, k=k, a=a).equal
-    row = connection_coefficients(mixed_pair(k, a, 8), rising_pair(8), n)
-    from math import comb
-
-    for m in range(n + 1):
-        expected = comb(n, m) * (-a) ** -m * pc_mixed(n - m, k, a)(F(0))
-        assert row[m] == expected
+    # The Sheffer connection rows onto the rising (T10) and falling (T10H)
+    # factorials against the weights C(n, m) step^-m P_(n-m)(0) that the
+    # generating-function members give.
+    for k in (-1, 2):
+        for a in (F(3, 7), F(-5, 2)):
+            routes = (
+                ("T10", mixed_pair(k, a, 8), rising_pair(8), -a, pc_mixed),
+                ("T10H", mixed_hat_pair(k, a, 8), falling_pair(8), a, pc_hat_mixed),
+            )
+            for ident, source, target, step, member in routes:
+                assert verify(ident, 7, k=k, a=a).equal
+                for n in range(8):
+                    expected = [comb(n, m) * step ** -m * member(n - m, k, a)(F(0))
+                                for m in range(n + 1)]
+                    assert connection_coefficients(source, target, n) == expected, (ident, k, a, n)
 
 
 def test_e51_shifted_argument_route():
