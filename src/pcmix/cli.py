@@ -32,42 +32,33 @@ from .poly import Poly
 
 
 def _parse_rational(text: str) -> Fraction:
-    text = str(text)
     if any(ch in text for ch in ".eE"):
         raise ValueError(text)
     return Fraction(text)
 
 
-class RationalType(click.ParamType):
-    """Accepts integer or p/q literals, never decimals."""
+class ParsedType(click.ParamType):
+    """Text read by ``parse``; text it cannot read fails as not ``expected``."""
 
-    name = "rational"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
-        try:
-            return _parse_rational(value)
-        except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not an exact rational (use integers or p/q)", param, ctx)
-
-
-class ListType(click.ParamType):
-    """A comma-separated list, each part read by ``parse``; ``name`` names the parts."""
-
-    def __init__(self, parse, name: str):
-        self.parse, self.name = parse, name
+    def __init__(self, parse, name: str, expected: str):
+        self.parse, self.name, self.expected = parse, name, expected
 
     def convert(self, value, param, ctx):
         try:
-            return tuple(self.parse(part) for part in str(value).split(","))
+            return self.parse(str(value))
         except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not a comma-separated list of {self.name}", param, ctx)
+            self.fail(f"{value!r} is not {self.expected}", param, ctx)
 
 
-RATIONAL = RationalType()
-RATIONAL_LIST = ListType(_parse_rational, "rationals")
-INT_LIST = ListType(int, "integers")
+def _parse_list(parse, text: str) -> tuple:
+    return tuple(map(parse, text.split(",")))
+
+
+RATIONAL = ParsedType(_parse_rational, "rational", "an exact rational (use integers or p/q)")
+RATIONAL_LIST = ParsedType(
+    partial(_parse_list, _parse_rational), "rationals", "a comma-separated list of rationals"
+)
+INT_LIST = ParsedType(partial(_parse_list, int), "integers", "a comma-separated list of integers")
 
 # The deepest degree `table` and `verify` accept.  Costs grow as a power of
 # n (a verify group as about n^5), so a larger value is refused before any
@@ -120,7 +111,7 @@ def main():
 
 
 @main.command()
-@click.option("--family", required=True, help="family name, e.g. pc-mixed or stirling1")
+@click.option("--family", required=True, type=click.Choice(sorted(_FAMILY_SPECS)))
 @click.option("--a", type=RATIONAL, default=None, help="rational parameter a (p/q)")
 @click.option("--k", type=int, default=None, help="integer Lif index k")
 @click.option("--r", type=int, default=None, help="nonnegative order r")
@@ -132,12 +123,7 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def table(family, a, k, r, lam, n_max, fmt):
     """Emit exact coefficient rows for one family, lowest degree first."""
-    spec = _FAMILY_SPECS.get(family)
-    if spec is None:
-        raise click.UsageError(
-            f"unknown family {family!r}; choose from {', '.join(sorted(_FAMILY_SPECS))}"
-        )
-    needed, producer = spec
+    needed, producer = _FAMILY_SPECS[family]
     given = {"a": a, "k": k, "r": r, "lambda": lam}
     params = {}
     for name in needed:
@@ -182,9 +168,6 @@ def _resolve_ids(spec: str) -> tuple[str, ...]:
     ids = tuple(part.strip() for part in spec.split(",") if part.strip())
     if not ids:
         raise click.UsageError("--ids must name identities or one of core, audit, all")
-    unknown = sorted(set(ids) - set(ALL_IDS))
-    if unknown:
-        raise click.UsageError(f"unknown identities: {', '.join(unknown)}")
     return ids
 
 

@@ -84,7 +84,8 @@ DEFAULT_GRID = Grid(
 # task group of verify_grid.  The group reads the Stirling rows when built
 # and keeps every other input (members at k and k-1, shifted members, the
 # T6/E60/E61 remainder, the E54/E55 Lif ratio, point values, the Cauchy,
-# Bernoulli and Frobenius-Euler numbers) once a check first asks for it.  A
+# Bernoulli and Frobenius-Euler numbers and the (-1)^e (e+offset)^-k of the
+# T3/T5 Appell expansions) once a check first asks for it.  A
 # value read from a shared table in ``special`` or ``families`` is kept by
 # the group only, never in a second module-level cache.
 #
@@ -155,15 +156,14 @@ class _Group:
         return self._keep("lif ratio", build)
 
     def numbers(self, number: Callable, *args) -> tuple[list[int], int]:
-        # number(e, *args) for e = 0..top, as integers over one denominator.
-        return self._keep(("numbers", number, args), lambda: _over_one_den(
-            [number(e, *args) for e in range(self.top + 1)]))
+        # number(e, *args) for e = 0..top, as integers over their least
+        # common denominator.
+        def build():
+            values = [number(e, *args) for e in range(self.top + 1)]
+            den = lcm(*(v.denominator for v in values))
+            return [v.numerator * (den // v.denominator) for v in values], den
 
-
-def _over_one_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    # Integer numerators of values over their least common denominator.
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+        return self._keep(("numbers", number, args), build)
 
 
 def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
@@ -179,14 +179,14 @@ def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
     return from_parts(acc, common * den)
 
 
-def _appell_numbers(n: int, k: int, offset: int) -> tuple[list[int], int]:
-    # (-1)^e (e+offset)^-k at index e = 0..n as integers over one denominator:
-    # lcm(1..n+offset)^k when k > 0, and 1 when k <= 0, where the powers are
-    # integers already.  The number sequence of the T3 and T5 Appell expansions.
-    if k <= 0:
-        return [(-1) ** e * (e + offset) ** -k for e in range(n + 1)], 1
-    scale = lcm(*range(1, n + offset + 1))
-    return [(-1) ** e * (scale // (e + offset)) ** k for e in range(n + 1)], scale**k
+def _appell_number(e: int, k: int, offset: int) -> Fraction:
+    # (-1)^e (e+offset)^-k: the number sequence of the T3 and T5 Appell expansions.
+    return (-1) ** e * Fraction(e + offset) ** -k
+
+
+def _bernoulli_below(r: int, n: int) -> Fraction:
+    # B_r^(n), read by T5/E48 for r < n only: r = n would carry C(n-1, n) = 0.
+    return bernoulli_order(r, n) if r < n else Fraction(0)
 
 
 def _stirling_sum(
@@ -306,7 +306,8 @@ def _stirling_triple_sum(group: _Group, n: int, hat: bool, offset: int) -> Poly:
     # the rest is the Appell expansion over (-1)^e (e+offset)^(-k), with the
     # sign (-1)^m left for the first kind only.
     signs = [(-1) ** l for l in range(n + 1)]
-    return _appell_expansion(group, n, signs, 1, _appell_numbers(n, group.k, offset), not hat)
+    numbers = group.numbers(_appell_number, group.k, offset)
+    return _appell_expansion(group, n, signs, 1, numbers, not hat)
 
 
 def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
@@ -344,8 +345,7 @@ def _check_t5(group: _Group, n: int, *, hat: bool) -> dict:
     # denominator and (-a)^l as (-p)^l q^(n-l) / q^n with a = p/q, whose q^n
     # cancels against a^-n = q^n / p^n.
     p, q = group.a.numerator, group.a.denominator
-    bernoulli, den = _over_one_den([bernoulli_order(r, n) for r in range(n)])
-    # r = n would carry C(n-1, n) = 0.
+    bernoulli, den = group.numbers(_bernoulli_below, n)
     weights = [comb(n - 1, r) * b for r, b in enumerate(bernoulli)]
     a_powers = [(-p) ** l * q ** (n - l) for l in range(n + 1)]
     touchard = [sum(map(mul, group.s2[e], a_powers)) for e in range(n + 1)]
@@ -353,7 +353,8 @@ def _check_t5(group: _Group, n: int, *, hat: bool) -> dict:
         sum(weights[r] * comb(n - r, d) * touchard[n - r - d] for r in range(min(n - d + 1, n)))
         for d in range(n + 1)
     ]
-    rhs = _appell_combination(sums, den * p**n, _appell_numbers(n, group.k, 1), not hat)
+    numbers = group.numbers(_appell_number, group.k, 1)
+    rhs = _appell_combination(sums, den * p**n, numbers, not hat)
     return _plain(group.members(hat)[n], rhs)
 
 

@@ -85,14 +85,10 @@ class ShefferPair:
         return self.g.order
 
     @cached_property
-    def fbar(self) -> Series:
-        """Compositional inverse of f, computed once."""
-        return self.f.revert()
-
-    @cached_property
     def _egf(self) -> Series:
         """h(t) * exp(x*fbar(t)) with h = 1/g(fbar): the members' generating function."""
-        return self.g.compose(self.fbar).inverse() * exp_xt(self.order).compose(self.fbar)
+        fbar = self.f.revert()
+        return self.g.compose(fbar).inverse() * exp_xt(self.order).compose(fbar)
 
     @cached_property
     def _recurrence_ops(self) -> tuple[Series, Series]:

@@ -110,28 +110,6 @@ def rising_poly(n: int) -> Poly:
 _POWERS: dict[tuple, list[Fraction]] = {}
 
 
-def _convolution_power(key: tuple, base: Callable[[int], Fraction], r: int, n: int) -> Fraction:
-    """Ordinary coefficient n of the r-th convolution power of ``base``.
-
-    Every base here starts with b_0 = 1.  Each (key, r) has one list; the list
-    for r = 1 holds the base values, so each is computed once.  The others
-    grow one coefficient at a time by J. C. P. Miller's power recurrence
-    m c_m = sum_{j=1..m} ((r+1) j - m) b_j c_{m-j} (Knuth, TAOCP vol. 2,
-    section 4.7), which gives c_m = [m == 0] at r = 0.
-    """
-
-    def extend_base(b: list[Fraction], n: int) -> None:
-        b += map(base, range(len(b), n + 1))
-
-    def extend_power(c: list[Fraction], n: int) -> None:
-        b = grown(_POWERS, (key, 1), n, extend_base)
-        for m in range(len(c), n + 1):
-            terms = (((r + 1) * j - m) * b[j] * c[m - j] for j in range(1, m + 1))
-            c.append(sum(terms, Fraction(0)) / m if m else Fraction(1))
-
-    return grown(_POWERS, (key, r), n, extend_base if r == 1 else extend_power)[n]
-
-
 def _stirling_transform(n: int, second: bool, weight: Callable[[int], Fraction]) -> Fraction:
     # (1/n!) sum_l S(n, l) weight(l), S the signed first kind or the second
     # kind, over row n read once.
@@ -153,27 +131,46 @@ def _bernoulli_base(n: int) -> Fraction:
     return _stirling_transform(n, True, lambda l: Fraction((-1) ** l * factorial(l), l + 1))
 
 
+def _order_number(
+    name: str, key: tuple, base: Callable[[int], Fraction], n: int, r: int
+) -> Fraction:
+    """n! times ordinary coefficient n of the r-th convolution power of ``base``.
+
+    Every base here starts with b_0 = 1.  Each (key, r) has one list; the list
+    for r = 1 holds the base values, so each is computed once.  The others
+    grow one coefficient at a time by J. C. P. Miller's power recurrence
+    m c_m = sum_{j=1..m} ((r+1) j - m) b_j c_{m-j} (Knuth, TAOCP vol. 2,
+    section 4.7), which gives c_m = [m == 0] at r = 0.  ``name`` names the
+    numbers in the error for n < 0 or r < 0.
+    """
+    if n < 0 or r < 0:
+        raise ValueError(f"{name} numbers need n >= 0 and r >= 0")
+
+    def extend_base(b: list[Fraction], n: int) -> None:
+        b += map(base, range(len(b), n + 1))
+
+    def extend_power(c: list[Fraction], n: int) -> None:
+        b = grown(_POWERS, (key, 1), n, extend_base)
+        for m in range(len(c), n + 1):
+            terms = (((r + 1) * j - m) * b[j] * c[m - j] for j in range(1, m + 1))
+            c.append(sum(terms, Fraction(0)) / m if m else Fraction(1))
+
+    return factorial(n) * grown(_POWERS, (key, r), n, extend_base if r == 1 else extend_power)[n]
+
+
 def cauchy_first(n: int, r: int) -> Fraction:
     """Cauchy number of the first kind with order r."""
-    if n < 0 or r < 0:
-        raise ValueError("Cauchy numbers need n >= 0 and r >= 0")
-    base = partial(_cauchy_base, second=False)
-    return factorial(n) * _convolution_power(("cauchy1",), base, r, n)
+    return _order_number("Cauchy", ("cauchy1",), partial(_cauchy_base, second=False), n, r)
 
 
 def cauchy_second(n: int, r: int) -> Fraction:
     """Cauchy number of the second kind with order r."""
-    if n < 0 or r < 0:
-        raise ValueError("Cauchy numbers need n >= 0 and r >= 0")
-    base = partial(_cauchy_base, second=True)
-    return factorial(n) * _convolution_power(("cauchy2",), base, r, n)
+    return _order_number("Cauchy", ("cauchy2",), partial(_cauchy_base, second=True), n, r)
 
 
 def bernoulli_order(n: int, r: int) -> Fraction:
     """Bernoulli number of order r."""
-    if n < 0 or r < 0:
-        raise ValueError("Bernoulli numbers need n >= 0 and r >= 0")
-    return factorial(n) * _convolution_power(("bernoulli",), _bernoulli_base, r, n)
+    return _order_number("Bernoulli", ("bernoulli",), _bernoulli_base, n, r)
 
 
 def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
@@ -183,8 +180,6 @@ def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
     H_n = sum_j (-1)^j j! S2(n, j) / (1 - lam)^j; higher orders by Miller's
     power recurrence.
     """
-    if n < 0 or r < 0:
-        raise ValueError("Frobenius-Euler numbers need n >= 0 and r >= 0")
     lam = as_fraction(lam)
     if lam == 1:
         raise ValueError("Frobenius-Euler numbers need lam != 1")
@@ -192,7 +187,7 @@ def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
     def base(m: int) -> Fraction:
         return _stirling_transform(m, True, lambda j: (-1) ** j * factorial(j) * (1 - lam) ** -j)
 
-    return factorial(n) * _convolution_power(("frobenius", lam), base, r, n)
+    return _order_number("Frobenius-Euler", ("frobenius", lam), base, n, r)
 
 
 def lif_series(k: int, order: int) -> Series:

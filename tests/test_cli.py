@@ -58,7 +58,12 @@ def test_table_csv_format():
 
 
 def test_table_usage_errors_exit_2():
-    assert run_cli("table", "--family", "nope", "--n-max", "2").exit_code == 2
+    result = run_cli("table", "--family", "nope", "--n-max", "2")
+    assert result.exit_code == 2
+    assert "'nope' is not one of" in result.output and "'poisson-charlier'" in result.output
+    result = run_cli("table", "--family", "poisson-charlier", "--a", "1/0", "--n-max", "2")
+    assert result.exit_code == 2
+    assert "'1/0' is not an exact rational (use integers or p/q)" in result.output
     assert run_cli("table", "--family", "pc-mixed", "--n-max", "2").exit_code == 2
     assert (
         run_cli(
@@ -124,10 +129,23 @@ def test_verify_single_identity_exit_0():
 
 
 def test_verify_unknown_id_exit_2():
-    assert run_cli("verify", "--ids", "T1,XX").exit_code == 2
+    # verify_grid refuses an unknown id before any check runs.  It accepts an
+    # empty id list, so the command refuses that one itself.
+    result = run_cli("verify", "--ids", "T1,XX")
+    assert result.exit_code == 2
+    assert "unknown identity 'XX'" in result.output
+    result = run_cli("verify", "--ids", ",")
+    assert result.exit_code == 2
+    assert "--ids must name identities or one of core, audit, all" in result.output
 
 
 def test_verify_bad_grid_value_exit_2():
+    result = run_cli("verify", "--ids", "T1", "--n-max", "1", "--k", "1,x")
+    assert result.exit_code == 2
+    assert "'1,x' is not a comma-separated list of integers" in result.output
+    result = run_cli("verify", "--ids", "T1", "--n-max", "1", "--a", "1,1/0")
+    assert result.exit_code == 2
+    assert "'1,1/0' is not a comma-separated list of rationals" in result.output
     assert run_cli("verify", "--ids", "T1", "--n-max", "1", "--a", "0").exit_code == 2
     assert run_cli("verify", "--ids", "T9", "--n-max", "1", "--lambda", "1").exit_code == 2
 

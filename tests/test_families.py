@@ -117,6 +117,17 @@ def test_parameter_validation():
         pc_mixed(2, 1, 0.5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: families.bernoulli_series(-1, 4),
+    lambda: families.frobenius_euler_series(-1, F(2), 4),
+    lambda: families.bernoulli_pair(-1, 4),
+    lambda: families.frobenius_pair(-1, F(2), 4),
+])
+def test_negative_order_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_poly_cauchy_numbers_at_zero():
     for k in K_SAMPLES:
         assert poly_cauchy_first(1, k)(0) == F(2) ** -k

@@ -262,6 +262,21 @@ def count_checks(monkeypatch) -> list:
     return calls
 
 
+def test_audited_notes_each_outcome():
+    lhs, other = Poly((1,)), Poly((2,))
+    cases = [
+        (lhs, lhs, True, True, "holds as printed and in derivation form"),
+        (other, lhs, False, True, "printed form fails; derivation form holds"),
+        (lhs, other, True, False, "holds as printed; derivation form fails"),
+        (other, other, False, False, "both forms fail"),
+    ]
+    for printed, derived, as_printed, derivation, note in cases:
+        out = identities._audited(lhs, printed, derived)
+        assert out["note"] == note
+        assert (out["as_printed"], out["derivation_form"]) == (as_printed, derivation)
+        assert out["equal"] == (as_printed or derivation)
+
+
 def test_verify_grid_rejects_unknown_id_before_checking(monkeypatch):
     # T9 sorts before ZZ; the unknown name must stop the sweep before any
     # check runs, not after T9's whole grid.

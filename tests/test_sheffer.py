@@ -166,6 +166,14 @@ def test_connection_identity_when_pairs_match():
         assert row == [F(1) if m == n else F(0) for m in range(n + 1)]
 
 
+def test_connection_rejects_unequal_orders_and_degree_out_of_range():
+    with pytest.raises(SeriesError, match="equal order"):
+        connection_coefficients(rising_pair(6), falling_pair(7), 2)
+    for n in (-1, 6):
+        with pytest.raises(OrderExhausted):
+            connection_coefficients(rising_pair(6), falling_pair(6), n)
+
+
 def test_connection_mixed_to_rising_frozen_values():
     row = connection_coefficients(mixed_pair(1, F(1), 8), rising_pair(8), 1)
     assert row == [F(-1, 2), F(-1)]
@@ -242,6 +250,13 @@ def test_transfer_to_scaled_exp_pairs():
 def test_transfer_rejects_non_delta():
     with pytest.raises(SeriesError):
         transfer_check(one_series(5), t_series(5), 2)
+
+
+def test_transfer_rejects_low_degree_and_unequal_orders():
+    with pytest.raises(ValueError, match="n >= 1"):
+        transfer_check(t_series(5), t_series(5), 0)
+    with pytest.raises(SeriesError, match="equal order"):
+        transfer_check(t_series(5), t_series(6), 2)
 
 
 def test_derivative_functional_rule():

@@ -244,12 +244,21 @@ def test_number_powers_match_repeated_squaring(monkeypatch):
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        cauchy_first(-1, 1)
-    with pytest.raises(ValueError):
-        cauchy_second(2, -1)
-    with pytest.raises(ValueError):
-        bernoulli_order(-2, 0)
+    numbers = [
+        (cauchy_first, "Cauchy"),
+        (cauchy_second, "Cauchy"),
+        (bernoulli_order, "Bernoulli"),
+        (functools.partial(frobenius_number, lam=2), "Frobenius-Euler"),
+    ]
+    for number, name in numbers:
+        for n, r in ((-1, 1), (2, -1), (-2, 0)):
+            with pytest.raises(ValueError, match=f"^{name} numbers need n >= 0 and r >= 0$"):
+                number(n, r)
+
+
+def test_frobenius_number_checks_lambda_first():
+    with pytest.raises(ValueError, match="lam != 1"):
+        frobenius_number(-1, -1, 1)
 
 
 def test_lif_constant_term_is_one():
