@@ -212,6 +212,8 @@ def frobenius_pair(
     r: int, lam: Rational, order: int = DEFAULT_PAIR_ORDER
 ) -> ShefferPair:
     """(((exp(t)-lam)/(1-lam))^r, t) for the Frobenius-Euler polynomials."""
+    if r < 0:
+        raise ValueError("the order r must be >= 0")
     lam = _check_lambda(lam)
     g = ((exp_series(order) - one_series(order) * lam) * (1 / (1 - lam))) ** r
     return ShefferPair(g, t_series(order), f"frobenius-euler(r={r}, lambda={lam})")

@@ -82,22 +82,26 @@ DEFAULT_GRID = Grid(
 # Every identity is a statement about the mixed families at one (k, a), so a
 # checker reads its inputs from one _Group per verify() call or per (k, a)
 # task group of verify_grid.  The group reads the Stirling rows when built
-# and keeps every other input (members at k and k-1, shifted members, the
-# T6/E60/E61 remainder, the E54/E55 Lif ratio, point values, the Cauchy,
-# Bernoulli and Frobenius-Euler numbers and the (-1)^e (e+offset)^-k of the
-# T3/T5 Appell expansions) once a check first asks for it.  A
-# value read from a shared table in ``special`` or ``families`` is kept by
-# the group only, never in a second module-level cache.
+# and keeps every other input once a check first asks for it, never in a
+# second module-level cache.  Right sides are summed in integers over one
+# denominator, as Poly stores its coefficients, and a Fraction or a Poly
+# (through from_parts) is built only where a result needs one.
 #
-# Right sides are summed in integers, the way Poly stores its coefficients.
-# The quadratic scalar sums (the Stirling step, the T5/E48 connection sums
-# over Touchard values, the point-value transforms of T8/E74, T9 and E77)
-# bring their inputs (point values, special numbers, powers of a = p/q and
-# of lam) to integer numerators over one denominator per check and build
-# one Fraction or one Poly, through from_parts, at the end.  An Appell
-# combination turns such sums into a polynomial; _combine sums polynomials
-# with rational weights the same way, in one integer list, and serves the
-# per-power comparison of E49/E50 as well.
+# T3/T3H, T4/E41, T8/E74, T9, E77 and the printed E54/E55 tail are Appell
+# expansions sum_m c_m A_m(x), A_m(x) = sum_j C(m, j) N_(m-j) x^j (Roman,
+# The Umbral Calculus, section 2.5), with c_m = sum_l C(n, l) S1(n-l, m)
+# a^-(n-l) V_l.  Umbrally A_m(x) = (N + x)^m, so sum_m S1(r, m) A_m(x) is the
+# falling factorial (N + x)_r, which Vandermonde's identity splits into
+# sum_j C(r, j) <N>_(r-j) (x)_j with <N>_i = sum_m S1(i, m) N_m.  The
+# expansion is then sum_j C(n, j) a^-j E_(n-j) (x)_j, where
+# E_r = sum_l C(r, l) a^-(r-l) V_l <N>_(r-l) does not depend on n.  The first
+# kind negates c_m at odd m, and (-1)^m S1(r, m) are the coefficients of
+# (-y)_r = (-1)^r y^(r), so there the same steps run in the rising basis
+# x^(j), with N_e read as (-1)^e N_e and (-1)^j in the weights.  A check
+# compares the member's coefficients in that basis (read through S2) with
+# the n+1 terms by cross-multiplying, and turns the right side back into
+# monomials through S1 only on a mismatch.  T7/E67 keep their Stirling-sum
+# moments as integer tables the same way.
 
 
 class _Group:
@@ -165,6 +169,49 @@ class _Group:
 
         return self._keep(("numbers", number, args), build)
 
+    def factorial(self, hat: bool, rising: bool) -> list[tuple[list[int], int]]:
+        # Each member's coefficients over its denominator in the falling basis,
+        # x^i = sum_j S2(i, j) (x)_j, or in the rising one, with (-1)^(i-j).
+        return self._keep(("factorial", hat, rising), lambda: [
+            ([sum((-1) ** (rising * (i - j)) * self.s2[i][j] * c
+                  for i, c in enumerate(p.nums[j:], j)) for j in range(n + 1)], p.den)
+            for n, p in enumerate(self.members(hat))
+        ])
+
+    def binomial(self, u: int, v: int) -> list[list[int]]:
+        # Rows r = 0..top of C(r, l) u^(r-l) v^l.  With (u, v) = (q, p) for
+        # a = p/q, entry l is C(r, l) a^(l-r) over the denominator p^r.
+        return self._keep(("binomial", u, v), lambda: [
+            [comb(r, l) * u ** (r - l) * v**l for l in range(r + 1)] for r in range(self.top + 1)
+        ])
+
+    def expansion(self, key, hat: bool, values: Callable, *number) -> tuple[list[int], int]:
+        # E_r = e_r / (p^r den), r = 0..top, for values() = (V, its den) and
+        # the Stirling transform <N> of N = number(e, *args), read as
+        # (-1)^e N_e for the first kind; without ``number``, N = <N> = delta_0.
+        def build():
+            (vals, den), nums, number_den = values(), [1] + [0] * self.top, 1
+            if number:
+                nums, number_den = self.numbers(*number)
+                nums = [-c if m % 2 and not hat else c for m, c in enumerate(nums)]
+                nums = [sum(map(mul, row, nums)) for row in self.s1[:self.top + 1]]
+            rows = enumerate(self.binomial(self.a.denominator, self.a.numerator))
+            e = [sum(w * vals[l] * nums[r - l] for l, w in enumerate(row)) for r, row in rows]
+            return e, den * number_den
+
+        return self._keep(("expansion", hat, key), build)
+
+    def moments(self, hat: bool, x0: int, dk: int = 0) -> tuple[list[list[int]], int]:
+        # Row r, j <= r: sum_l C(r, l) S1(r-l, j) a^(l-r) P_l^(k+dk)(x0), the
+        # T7/E67 moment over j!, as an integer over p^r den.
+        def build():
+            values, den = self.values(hat, x0, dk)
+            rows = enumerate(self.binomial(self.a.denominator, self.a.numerator))
+            return [[sum(self.s1[r - l][j] * w * values[l] for l, w in enumerate(row[:r - j + 1]))
+                     for j in range(r + 1)] for r, row in rows], den
+
+        return self._keep(("moments", hat, x0, dk), build)
+
 
 def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
     # sum_i w_i p_i / den over the pairs (p_i, w_i), accumulated as one integer
@@ -189,47 +236,24 @@ def _bernoulli_below(r: int, n: int) -> Fraction:
     return bernoulli_order(r, n) if r < n else Fraction(0)
 
 
-def _stirling_sum(
-    group: _Group, n: int, ms: Sequence[int], values: Sequence[int], den: int
-) -> tuple[list[int], int]:
-    # For each m in ms, sum_{l=0}^{n-m} C(n, l) S1(n-l, m) a^-(n-l) values[l] / den:
-    # the umbral connection step through signed first-kind Stirling numbers,
-    # with values[l] a point value of the l-th family member (or a sum of
-    # them).  T3/T3H, T4/E41, T8/E74, T9, E77, T7/E67 and the printed tail of
-    # E54/E55 reach their right sides through it.  With a = p/q,
-    # a^-(n-l) = q^(n-l) p^l / p^n, so each sum is an integer dot product over
-    # the one denominator p^n den returned with the numerators (of either
-    # sign).  Empty, hence 0, when m > n.
-    p, q = group.a.numerator, group.a.denominator
-    weights = [comb(n, l) * q ** (n - l) * p**l * values[l] for l in range(n - min(ms) + 1)]
-    sums = [sum(group.s1[n - l][m] * weights[l] for l in range(n - m + 1)) for m in ms]
-    return sums, p**n * den
+def _expanded(group: _Group, n: int, hat: bool, expansion: tuple[list[int], int]) -> dict:
+    # The member against sum_j C(n, j) (-+q)^j e_(n-j) b_j(x) / (p^n den), term
+    # by term: b_j is the rising x^(j) (upper sign) for the first kind, else (x)_j.
+    (e, den), (g, d) = expansion, group.factorial(hat, not hat)[n]
+    weights = group.binomial(1, group.a.denominator * (1 if hat else -1))[n]
+    scale = group.a.numerator**n * den
+    equal = all(c * scale == d * w * x for c, w, x in zip(g, weights, e[n::-1]))
+    rhs = None if equal else _monomial(group, n, hat, expansion)
+    return _outcome(equal, group.members(hat)[n], rhs)
 
 
-def _appell_combination(
-    sums: Sequence[int], den: int, numbers: tuple[Sequence[int], int], signed: bool
-) -> Poly:
-    # sum_m c_m A_m(x), c_m = sums[m] / den negated at odd m if signed, and
-    # A_m(x) = sum_j C(m, j) N_(m-j) x^j the Appell polynomial (Roman, The
-    # Umbral Calculus, section 2.5) of the number sequence N = nums /
-    # number_den, summed in one integer list.
-    nums, number_den = numbers
-    acc = [0] * len(sums)
-    for m, c in enumerate(sums):
-        if signed and m % 2:
-            c = -c
-        for j in range(m + 1):
-            acc[j] += comb(m, j) * nums[m - j] * c
-    return from_parts(acc, den * number_den)
-
-
-def _appell_expansion(
-    group: _Group, n: int, values: Sequence[int], den: int,
-    numbers: tuple[Sequence[int], int], signed: bool,
-) -> Poly:
-    # The Appell combination whose c_m are the Stirling sums over values / den.
-    sums, den = _stirling_sum(group, n, range(n + 1), values, den)
-    return _appell_combination(sums, den, numbers, signed)
+def _monomial(group: _Group, n: int, hat: bool, expansion: tuple[list[int], int]) -> Poly:
+    # The right side of _expanded in monomials: S1(j, i) x^i in (x)_j, |S1(j, i)| in x^(j).
+    (e, den), acc = expansion, [0] * (n + 1)
+    for j, w in enumerate(group.binomial(1, group.a.denominator * (1 if hat else -1))[n]):
+        for i, c in enumerate(group.s1[j]):
+            acc[i] += (c if hat else abs(c)) * w * e[n - j]
+    return from_parts(acc, group.a.numerator**n * den)
 
 
 def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
@@ -298,16 +322,14 @@ def _check_p2(group: _Group, n: int, *, hat: bool) -> dict:
     return _plain(group.members(hat)[n], _combine(terms))
 
 
-def _stirling_triple_sum(group: _Group, n: int, hat: bool, offset: int) -> Poly:
-    # The coefficient of x^j is the sum over m >= j and l of
-    # sign * C(n, l) * S1(n-l, m) * a^-(n-l) * C(m, j) * (m-j+offset)^(-k),
-    # where the sign parity is l+j for the first kind and l+m+j for the second.
-    # The l-sum is the Stirling sum over (-1)^l; with (-1)^j = (-1)^m (-1)^(m-j)
-    # the rest is the Appell expansion over (-1)^e (e+offset)^(-k), with the
-    # sign (-1)^m left for the first kind only.
-    signs = [(-1) ** l for l in range(n + 1)]
-    numbers = group.numbers(_appell_number, group.k, offset)
-    return _appell_expansion(group, n, signs, 1, numbers, not hat)
+def _stirling_triple_sum(group: _Group, hat: bool, offset: int) -> tuple[list[int], int]:
+    # The coefficient of x^j is the sum over m >= j and l of sign * C(n, l)
+    # S1(n-l, m) a^-(n-l) C(m, j) (m-j+offset)^(-k), the sign parity l+j for
+    # the first kind and l+m+j for the second.  As (-1)^j = (-1)^m (-1)^(m-j),
+    # that is the Appell expansion of V_l = (-1)^l over (-1)^e (e+offset)^(-k),
+    # with (-1)^m (c_m negated at odd m) left for the first kind only.
+    signs = lambda: ([(-1) ** l for l in range(group.top + 1)], 1)
+    return group.expansion(("T3", offset), hat, signs, _appell_number, group.k, offset)
 
 
 def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
@@ -316,19 +338,17 @@ def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
     n >= 0 and k are integers and a is a nonzero rational."""
     _check_degree("t3_polynomial", n, 0)
     group = _Group(_axis_value("k", k, n), _axis_value("a", a, n), n + 1)
-    return _stirling_triple_sum(group, n, hat, 1)
+    return _monomial(group, n, hat, _stirling_triple_sum(group, hat, 1))
 
 
 def _check_t3(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 3; with hat, the remark after it.
-    return _plain(group.members(hat)[n], _stirling_triple_sum(group, n, hat, 1))
+    return _expanded(group, n, hat, _stirling_triple_sum(group, hat, 1))
 
 
 def _check_t4(group: _Group, n: int, *, hat: bool) -> dict:
-    # Theorem 4; with hat, equation (41), which has no (-1)^l.
-    # The Appell expansion over delta_0 is the monomial basis.
-    rhs = _appell_expansion(group, n, *group.values(hat, 0), ([1] + [0] * n, 1), not hat)
-    return _plain(group.members(hat)[n], rhs)
+    # Theorem 4; with hat, equation (41), which has no (-1)^l; N = delta_0.
+    return _expanded(group, n, hat, group.expansion("T4", hat, lambda: group.values(hat, 0)))
 
 
 def _check_t5(group: _Group, n: int, *, hat: bool) -> dict:
@@ -338,7 +358,8 @@ def _check_t5(group: _Group, n: int, *, hat: bool) -> dict:
     # the first kind and r+j+m+n for the second.  Grouped by e = j+l, the
     # l-sum is the Touchard value T_e = sum_l S2(e, l) (-a)^l in both kinds.
     # Grouped then by d = n-r-e, the m-sum is (-1)^d A_d(x), A_d the Appell
-    # polynomial of T3 over (-1)^e (e+1)^-k, and the second kind's (-1)^(r+e+n)
+    # polynomial of T3 over N_e = (-1)^e (e+1)^-k, summed in one integer list
+    # as sum_j C(d, j) N_(d-j) x^j, and the second kind's (-1)^(r+e+n)
     # cancels that (-1)^d.  So the right side is a^-n sum_d c_d A_d(x) with
     # c_d = sum_{r+e=n-d} C(n-1, r) B_r^(n) C(n-r, e) T_e, negated at odd d
     # for the first kind only.  Summed in integers: B_r^(n) over one
@@ -353,9 +374,11 @@ def _check_t5(group: _Group, n: int, *, hat: bool) -> dict:
         sum(weights[r] * comb(n - r, d) * touchard[n - r - d] for r in range(min(n - d + 1, n)))
         for d in range(n + 1)
     ]
-    numbers = group.numbers(_appell_number, group.k, 1)
-    rhs = _appell_combination(sums, den * p**n, numbers, not hat)
-    return _plain(group.members(hat)[n], rhs)
+    nums, number_den = group.numbers(_appell_number, group.k, 1)
+    sums = [-c if d % 2 and not hat else c for d, c in enumerate(sums)]
+    acc = [sum(comb(d, j) * nums[d - j] * c for d, c in enumerate(sums[j:], j))
+           for j in range(n + 1)]
+    return _plain(group.members(hat)[n], from_parts(acc, den * p**n * number_den))
 
 
 def _check_e49(group: _Group, n: int, *, hat: bool) -> dict:
@@ -413,18 +436,17 @@ def _check_t8(group: _Group, n: int, s: int, *, hat: bool) -> dict:
     # Theorem 8 with first-kind Cauchy numbers; with hat, equation (74) with
     # second-kind ones and no (-1)^m.
     # values[l] = sum_i C(l, i) a^-i C_i^(s) P_{l-i}(s), summed in integers
-    # with a^-i = q^i p^(n-i) / p^n for a = p/q.
-    at_s, den = group.values(hat, s)
-    cauchy = cauchy_second if hat else cauchy_first
-    weights, cauchy_den = group.numbers(cauchy, s)
-    p, q = group.a.numerator, group.a.denominator
-    weights = [w * q**i * p ** (n - i) for i, w in enumerate(weights[:n + 1])]
-    values = [
-        sum(comb(l, i) * weights[i] * at_s[l - i] for i in range(l + 1)) for l in range(n + 1)
-    ]
-    den *= cauchy_den * p**n
-    rhs = _appell_expansion(group, n, values, den, group.numbers(bernoulli_order, s), not hat)
-    return _plain(group.members(hat)[n], rhs)
+    # with a^-i = q^i p^(top-i) / p^top for a = p/q.
+    def values():
+        at_s, den = group.values(hat, s)
+        weights, cauchy_den = group.numbers(cauchy_second if hat else cauchy_first, s)
+        p, q, top = group.a.numerator, group.a.denominator, group.top
+        weights = [w * q**i * p ** (top - i) for i, w in enumerate(weights)]
+        return [
+            sum(comb(l, i) * weights[i] * at_s[l - i] for i in range(l + 1)) for l in range(top + 1)
+        ], den * cauchy_den * p**top
+
+    return _expanded(group, n, hat, group.expansion(("T8", s), hat, values, bernoulli_order, s))
 
 
 def _check_t9(group: _Group, n: int, s: int, lam: Fraction) -> dict:
@@ -433,32 +455,34 @@ def _check_t9(group: _Group, n: int, s: int, lam: Fraction) -> dict:
     # form is the one that holds and is what this verifier implements.
     # values[l] = sum_i C(s, i) (l)_i step^i P_{l-i}(s), step = -lam/((1-lam) a),
     # summed in integers over the step's denominator to the power s.
-    at_s, den = group.values(False, s)
-    step = -lam / ((1 - lam) * group.a)
-    sp, sq = step.numerator, step.denominator
-    weights = [comb(s, i) * sp**i * sq ** (s - i) for i in range(s + 1)]
-    values = [
-        sum(perm(l, i) * weights[i] * at_s[l - i] for i in range(min(s, l) + 1))
-        for l in range(n + 1)
-    ]
-    den *= sq**s
-    numbers = group.numbers(frobenius_number, s, lam)
-    rhs = _appell_expansion(group, n, values, den, numbers, True)
-    return _plain(group.members(False)[n], rhs)
+    def values():
+        at_s, den = group.values(False, s)
+        step = -lam / ((1 - lam) * group.a)
+        sp, sq = step.numerator, step.denominator
+        weights = [comb(s, i) * sp**i * sq ** (s - i) for i in range(s + 1)]
+        return [
+            sum(perm(l, i) * weights[i] * at_s[l - i] for i in range(min(s, l) + 1))
+            for l in range(group.top + 1)
+        ], den * sq**s
+
+    expansion = group.expansion(("T9", s, lam), False, values, frobenius_number, s, lam)
+    return _expanded(group, n, False, expansion)
 
 
 def _check_e77(group: _Group, n: int, s: int, lam: Fraction) -> dict:
     # values[l] = (1-lam)^-s sum_i C(s, i) (-lam)^(s-i) P^_l(i), summed in
     # integers with lam = u/v over the one denominator (v-u)^s of the weights
     # and the one of the point values.
-    u, v = lam.numerator, lam.denominator
-    weights = [comb(s, i) * (-u) ** (s - i) * v**i for i in range(s + 1)]
-    at = [group.values(True, i)[0] for i in range(s + 1)]
-    values = [sum(w * at[i][l] for i, w in enumerate(weights)) for l in range(n + 1)]
-    den = group.values(True, 0)[1] * (v - u) ** s
-    numbers = group.numbers(frobenius_number, s, lam)
-    rhs = _appell_expansion(group, n, values, den, numbers, False)
-    return _plain(group.members(True)[n], rhs)
+    def values():
+        u, v = lam.numerator, lam.denominator
+        weights = [comb(s, i) * (-u) ** (s - i) * v**i for i in range(s + 1)]
+        at = [group.values(True, i)[0] for i in range(s + 1)]
+        return [
+            sum(w * at[i][l] for i, w in enumerate(weights)) for l in range(group.top + 1)
+        ], group.values(True, 0)[1] * (v - u) ** s
+
+    expansion = group.expansion(("E77", s, lam), True, values, frobenius_number, s, lam)
+    return _expanded(group, n, True, expansion)
 
 
 def _check_t10(group: _Group, n: int, *, hat: bool) -> dict:
@@ -491,7 +515,8 @@ def _check_e54(group: _Group, n: int, *, hat: bool) -> dict:
     # shifted by one.
     sign = -1 if hat else 1
     head = _recurrence_head(group, n + 1, hat)
-    tail = _stirling_triple_sum(group, n, hat, 2).shifted(sign) * (1 / group.a)
+    tail = _monomial(group, n, hat, _stirling_triple_sum(group, hat, 2)).shifted(sign)
+    tail *= 1 / group.a
     printed = head - tail if hat else head + tail
     split = operator_apply(group.lif_ratio(), group.shifted(hat)[n])
     derived = head + split * (Fraction(sign) / group.a)
@@ -524,32 +549,34 @@ def _check_t7(group: _Group, n: int, m: int, *, hat: bool) -> dict:
     # Two evaluations of < exp(-t) Lif_k(sgn log(1+t/a)) (log(1+t/a))^m | x^n >:
     # the theorem after equation (66) for the second kind, equation (67) for
     # the first.
-    edge = -1 if hat else 1
+    # In units of m!/(p^n d): the direct moment is rows[n][m], the lowered one
+    # p rows[n-1][m] (0 at m = n), and each edge term q times entry [n-1][m-1]
+    # at x0 = +-1, Lif index k (values over d, as at 0) or k-1 (over d1).
+    edge, (rows, d) = -1 if hat else 1, group.moments(hat, 0)
+    (at_k, _), (at_km1, d1) = group.moments(hat, edge), group.moments(hat, edge, -1)
+    p, q = group.a.numerator, group.a.denominator
+    lowered = p * rows[n - 1][m] if m < n else 0
+    both, edge_k, edge_km1 = rows[n][m] + lowered, at_k[n - 1][m - 1], at_km1[n - 1][m - 1]
 
-    def moment(q: int, j: int, x0: int, dk: int = 0) -> Fraction:
-        # sum_l j! a^(l-q) C(q, l) S1(q-l, j) P_l^(k+dk)(x0); 0 when j > q.
-        (total,), den = _stirling_sum(group, q, (j,), *group.values(hat, x0, dk))
-        return factorial(j) * Fraction(total, den)
+    def holds(last: int, last_den: int) -> bool:  # direct + lowered == (m-1)/m edge_k + last/m
+        return both * m * last_den == q * ((m - 1) * edge_k * last_den + last * d)
 
-    direct = moment(n, m, 0)
-    # At m = n the lowered moment is the empty sum.
-    lowered = moment(n - 1, m, 0)
-    # The edge terms weigh the (m-1)-th moment by m!/a in place of (m-1)!.
-    edge_k = moment(n - 1, m - 1, edge) * m / group.a
-    edge_km1 = moment(n - 1, m - 1, edge, -1) * m / group.a
-    chained = -lowered + Fraction(m - 1, m) * edge_k + Fraction(1, m) * edge_km1
-    derivation = direct == chained
+    derivation = holds(edge_km1, d1)
     # For the second kind the printed final statement repeats superscript k
     # in the 1/m term where the derivation chain has k-1.
-    printed = Fraction(m - 1, m) * edge_k + Fraction(1, m) * (edge_k if hat else edge_km1)
-    as_printed = direct + lowered == printed
+    as_printed = holds(edge_k, d) if hat else derivation
+    lhs = rhs = None
+    if not (derivation or as_printed):
+        scale = Fraction(factorial(m), p**n * d)
+        chained = Fraction(q * ((m - 1) * edge_k * d1 + edge_km1 * d), m * d1) - lowered
+        lhs, rhs = Poly((scale * rows[n][m],)), Poly((scale * chained,))
     note = "two-route functional value"
     if hat:
         note += "; the chained evaluation is authoritative" + (
             "" if as_printed else "; printed closing statement fails"
         )
     return _outcome(
-        derivation or as_printed, Poly((direct,)), Poly((chained,)),
+        derivation or as_printed, lhs, rhs,
         note=note, as_printed=as_printed, derivation_form=derivation,
     )
 

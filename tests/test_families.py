@@ -124,7 +124,7 @@ def test_parameter_validation():
     lambda: families.frobenius_pair(-1, F(2), 4),
 ])
 def test_negative_order_rejected(build):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the order r must be >= 0"):
         build()
 
 

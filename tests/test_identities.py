@@ -1,10 +1,11 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial, perm
 from types import SimpleNamespace
 
 import pytest
@@ -169,6 +170,114 @@ def test_right_sides_read_their_inputs(monkeypatch):
         assert not verify(ident, 6, cases[ident]).equal, ident
     # P_2 carries the weight S1(4, r) at y^r, r = 1..4: y^0 still holds.
     assert verify("E49", 6, point).note == "first failing coefficient of y^1"
+
+
+def _lower_member_fault(monkeypatch) -> dict:
+    # P_2 + 1 in both families at every k, planted as in
+    # test_right_sides_read_their_inputs; the faulty lookup of each kind.
+    lower = SimpleNamespace(
+        pc_mixed=lambda n, k, a: pc_mixed(n, k, a) + (n == 2),
+        pc_hat_mixed=lambda n, k, a: pc_hat_mixed(n, k, a) + (n == 2),
+    )
+    monkeypatch.setattr(identities, "fam", lower)
+    return {False: lower.pc_mixed, True: lower.pc_hat_mixed}
+
+
+def test_mismatch_reports_the_printed_right_side(monkeypatch):
+    # Passing checks compare in a factorial basis and a failing one rebuilds
+    # its sides, so the failure path runs other code.  With a lower member
+    # wrong, each reported side must equal the printed formula, assembled
+    # here in Fractions: sum_m c_m A_m(x) with c_m = sum_l C(n, l) S1(n-l, m)
+    # a^-(n-l) V_l (negated at odd m for the first kind) and
+    # A_m(x) = sum_j C(m, j) N_(m-j) x^j, or the T7/E67 moments.
+    k, a, s, lam = 2, F(3, 7), 2, F(1, 2)
+    member = _lower_member_fault(monkeypatch)
+    s1 = special.stirling1
+
+    def printed(n, values, numbers, signed):
+        coeffs = [F(0)] * (n + 1)
+        for m in range(n + 1):
+            c = sum(comb(n, l) * s1(n - l, m) * a ** -(n - l) * values[l] for l in range(n - m + 1))
+            for j in range(m + 1):
+                coeffs[j] += (-1) ** (m * signed) * c * comb(m, j) * numbers[m - j]
+        return Poly(coeffs)
+
+    def sides(ident, n):
+        hat = ident in ("T3H", "E41", "E74", "E77")
+        at = {x0: [member[hat](l, k, a)(x0) for l in range(n + 1)] for x0 in range(s + 1)}
+        if ident in ("T3", "T3H"):
+            values = [(-1) ** l for l in range(n + 1)]
+            numbers = [(-1) ** e * F(e + 1) ** -k for e in range(n + 1)]
+        elif ident in ("T4", "E41"):
+            values, numbers = at[0], [int(e == 0) for e in range(n + 1)]
+        elif ident in ("T8", "E74"):
+            cauchy = special.cauchy_second if hat else special.cauchy_first
+            values = [sum(comb(l, i) * a**-i * cauchy(i, s) * at[s][l - i] for i in range(l + 1))
+                      for l in range(n + 1)]
+            numbers = [special.bernoulli_order(e, s) for e in range(n + 1)]
+        else:
+            if ident == "T9":
+                step = -lam / ((1 - lam) * a)
+                values = [sum(comb(s, i) * perm(l, i) * step**i * at[s][l - i]
+                              for i in range(min(s, l) + 1)) for l in range(n + 1)]
+            else:
+                values = [sum(comb(s, i) * (-lam) ** (s - i) * at[i][l] for i in range(s + 1))
+                          / (1 - lam) ** s for l in range(n + 1)]
+            numbers = [special.frobenius_number(e, s, lam) for e in range(n + 1)]
+        return member[hat](n, k, a), printed(n, values, numbers, not hat)
+
+    failures = collections.Counter()
+    for ident in ("T3", "T3H", "T4", "E41", "T8", "E74", "T9", "E77"):
+        params = {"k": k, "a": a, **dict(zip(CATALOGUE[ident].axes[2:], (s, lam)))}
+        for n in range(7):
+            result = verify(ident, n, params)
+            lhs, rhs = sides(ident, n)
+            assert result.equal == (lhs == rhs), (ident, n)
+            if not result.equal:
+                failures[ident] += 1
+                assert (result.lhs, result.rhs) == (lhs, rhs), (ident, n)
+    assert set(failures) == {"T3", "T3H", "T4", "E41", "T8", "E74", "T9", "E77"}
+
+    def moment(hat, q, j, x0, dk=0):
+        # j! sum_l a^(l-q) C(q, l) S1(q-l, j) P_l^(k+dk)(x0).
+        return factorial(j) * sum(
+            a ** (l - q) * comb(q, l) * s1(q - l, j) * member[hat](l, k + dk, a)(x0)
+            for l in range(q - j + 1)
+        )
+
+    for ident, hat in (("T7", True), ("E67", False)):
+        edge = -1 if hat else 1
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                direct, lowered = moment(hat, n, m, 0), moment(hat, n - 1, m, 0)
+                edge_k = moment(hat, n - 1, m - 1, edge) * m / a
+                edge_km1 = moment(hat, n - 1, m - 1, edge, -1) * m / a
+                chained = -lowered + F(m - 1, m) * edge_k + edge_km1 / m
+                last = edge_k if hat else edge_km1
+                as_printed = direct + lowered == F(m - 1, m) * edge_k + last / m
+                result = verify(ident, n, {"k": k, "a": a, "m": m})
+                assert result.derivation_form == (direct == chained), (ident, n, m)
+                assert result.as_printed == as_printed, (ident, n, m)
+                if not result.equal:
+                    failures[ident] += 1
+                    sides_ = (Poly((direct,)), Poly((chained,)))
+                    assert (result.lhs, result.rhs) == sides_, (ident, n, m)
+    assert failures["T7"] and failures["E67"]
+
+
+def test_members_round_trip_through_the_factorial_bases():
+    # Each member taken to the falling or the rising basis through S2 and
+    # back through S1 (|S1| for the rising basis) is unchanged.
+    for k, a in itertools.product((-2, 3), (F(3, 7), F(-5, 2))):
+        group = identities._Group(k, a, 12)
+        for hat, rising in itertools.product((False, True), repeat=2):
+            table = group.factorial(hat, rising)
+            for n, member in enumerate(group.members(hat)):
+                coeffs, den = table[n]
+                back = [sum(F(c, den) * (abs if rising else int)(special.stirling1(j, i))
+                            for j, c in enumerate(coeffs) if j >= i) for i in range(n + 1)]
+                assert Poly(back) == member == (pc_hat_mixed if hat else pc_mixed)(n, k, a)
+                assert len(coeffs) == n + 1, (k, a, hat, rising, n)
 
 
 def test_audit_statuses():
