@@ -29,14 +29,7 @@ from . import families as fam
 from .poly import Poly, Rational, X, as_fraction, from_parts
 from .series import Series, binomial_pow, exp_neg_series, exp_series
 from .sheffer import operator_apply
-from .special import (
-    bernoulli_order,
-    cauchy_first,
-    cauchy_second,
-    frobenius_number,
-    lif_series,
-    stirling_rows,
-)
+from .special import bernoulli_row, cauchy_row, frobenius_row, lif_series, stirling_rows
 
 
 class ParameterError(ValueError):
@@ -84,24 +77,26 @@ DEFAULT_GRID = Grid(
 # task group of verify_grid.  The group reads the Stirling rows when built
 # and keeps every other input once a check first asks for it, never in a
 # second module-level cache.  Right sides are summed in integers over one
-# denominator, as Poly stores its coefficients, and a Fraction or a Poly
-# (through from_parts) is built only where a result needs one.
+# stated denominator (for a = p/q, a^-l is q^l p^(n-l) over p^n; a number
+# sequence is one row read over its least common denominator), compared by
+# cross-multiplying or Poly equality, and built as the sides a result
+# reports only on a mismatch.  T6, (54)-(55) and (60)-(62) compare with the
+# kept remainders D_n = P_n - head_n of their recurrence for the same reason.
 #
-# T3/T3H, T4/E41, T8/E74, T9, E77 and the printed E54/E55 tail are Appell
-# expansions sum_m c_m A_m(x), A_m(x) = sum_j C(m, j) N_(m-j) x^j (Roman,
-# The Umbral Calculus, section 2.5), with c_m = sum_l C(n, l) S1(n-l, m)
-# a^-(n-l) V_l.  Umbrally A_m(x) = (N + x)^m, so sum_m S1(r, m) A_m(x) is the
-# falling factorial (N + x)_r, which Vandermonde's identity splits into
-# sum_j C(r, j) <N>_(r-j) (x)_j with <N>_i = sum_m S1(i, m) N_m.  The
-# expansion is then sum_j C(n, j) a^-j E_(n-j) (x)_j, where
-# E_r = sum_l C(r, l) a^-(r-l) V_l <N>_(r-l) does not depend on n.  The first
-# kind negates c_m at odd m, and (-1)^m S1(r, m) are the coefficients of
-# (-y)_r = (-1)^r y^(r), so there the same steps run in the rising basis
-# x^(j), with N_e read as (-1)^e N_e and (-1)^j in the weights.  A check
-# compares the member's coefficients in that basis (read through S2) with
-# the n+1 terms by cross-multiplying, and turns the right side back into
-# monomials through S1 only on a mismatch.  T7/E67 keep their Stirling-sum
-# moments as integer tables the same way.
+# T3/T3H, T4/E41 (and so T10/T10H), T8/E74, T9, E77 and the printed E54/E55
+# tail are Appell expansions sum_m c_m A_m(x), A_m(x) = sum_j C(m, j) N_(m-j)
+# x^j (Roman, The Umbral Calculus, section 2.5), with c_m = sum_l C(n, l)
+# S1(n-l, m) a^-(n-l) V_l.  Umbrally A_m(x) = (N + x)^m, so
+# sum_m S1(r, m) A_m(x) is the falling factorial (N + x)_r, which
+# Vandermonde's identity splits into sum_j C(r, j) <N>_(r-j) (x)_j with
+# <N>_i = sum_m S1(i, m) N_m.  The expansion is then
+# sum_j C(n, j) a^-j E_(n-j) (x)_j, where E_r = sum_l C(r, l) a^-(r-l) V_l
+# <N>_(r-l) does not depend on n.  The first kind negates c_m at odd m, and
+# (-1)^m S1(r, m) are the coefficients of (-y)_r = (-1)^r y^(r), so there
+# the same steps run in the rising basis x^(j), with N_e read as (-1)^e N_e
+# and (-1)^j in the weights.  A check compares the member's coefficients in
+# that basis (read through S2) with the n+1 terms by cross-multiplying.
+# T7/E67 keep their Stirling-sum moments as integer tables the same way.
 
 
 class _Group:
@@ -113,7 +108,8 @@ class _Group:
         self._kept: dict = {}
 
     def _keep(self, key, build: Callable):
-        # One dict lookup per hit: a key can hold Fractions, whose hash is dear.
+        # One dict lookup per hit; keys read per check hold no Fraction, whose
+        # hash is dear.
         try:
             return self._kept[key]
         except KeyError:
@@ -142,13 +138,24 @@ class _Group:
         return self._keep(("tails", hat), build)
 
     def values(self, hat: bool, x0: int, dk: int = 0) -> tuple[list[int], int]:
-        # P(x0) per member as integers over one denominator (the same for all x0).
-        def build():
-            members, powers = self.members(hat, dk), [x0**j for j in range(self.top + 1)]
-            den = lcm(*(p.den for p in members))
-            return [sum(map(mul, p.nums, powers)) * (den // p.den) for p in members], den
+        # P(x0) per member over one denominator (the same for all x0).
+        return self._keep(("values", hat, dk, x0), lambda: _values(self.members(hat, dk), x0))
 
-        return self._keep(("values", hat, dk, x0), build)
+    def poly_cauchy(self, hat: bool) -> list[Poly]:
+        # Poly-Cauchy polynomials of degrees 0..top at k, second kind with hat.
+        lookup = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
+        return self._keep(("poly-Cauchy", hat),
+                          lambda: [lookup(l, self.k) for l in range(self.top, -1, -1)][::-1])
+
+    def remainders(self, hat: bool) -> list[Optional[Poly]]:
+        # D_n = P_n - head_n, n = 1..top: the head -P_(n-1)(x) -+ (x/a)
+        # P_(n-1)(x+-1) of T6, (54)-(55) and (60)-(62), upper signs first kind.
+        def build():
+            step, members = Fraction(-1 if hat else 1) / self.a, self.members(hat)
+            return [None] + [p + lower + X * shifted * step for p, lower, shifted
+                             in zip(members[1:], members, self.shifted(hat))]
+
+        return self._keep(("remainders", hat), build)
 
     def lif_ratio(self) -> Series:
         # Lif_k'(-t) / Lif_k(-t), from the operator recurrence; one order serves
@@ -159,15 +166,15 @@ class _Group:
 
         return self._keep("lif ratio", build)
 
-    def numbers(self, number: Callable, *args) -> tuple[list[int], int]:
-        # number(e, *args) for e = 0..top, as integers over their least
-        # common denominator.
+    def numbers(self, row: Callable, *args) -> tuple[list[int], int]:
+        # The row read row(top, *args) up to entry top, as integers over
+        # their least common denominator.
         def build():
-            values = [number(e, *args) for e in range(self.top + 1)]
+            values = row(self.top, *args)[:self.top + 1]
             den = lcm(*(v.denominator for v in values))
             return [v.numerator * (den // v.denominator) for v in values], den
 
-        return self._keep(("numbers", number, args), build)
+        return self._keep(("numbers", row, args), build)
 
     def factorial(self, hat: bool, rising: bool) -> list[tuple[list[int], int]]:
         # Each member's coefficients over its denominator in the falling basis,
@@ -187,8 +194,9 @@ class _Group:
 
     def expansion(self, key, hat: bool, values: Callable, *number) -> tuple[list[int], int]:
         # E_r = e_r / (p^r den), r = 0..top, for values() = (V, its den) and
-        # the Stirling transform <N> of N = number(e, *args), read as
-        # (-1)^e N_e for the first kind; without ``number``, N = <N> = delta_0.
+        # the Stirling transform <N> of the row read N = number(top, *args),
+        # read as (-1)^e N_e for the first kind; without ``number``,
+        # N = <N> = delta_0.
         def build():
             (vals, den), nums, number_den = values(), [1] + [0] * self.top, 1
             if number:
@@ -213,27 +221,34 @@ class _Group:
         return self._keep(("moments", hat, x0, dk), build)
 
 
-def _combine(terms: Sequence[tuple[Poly, Rational]], den: int = 1) -> Poly:
-    # sum_i w_i p_i / den over the pairs (p_i, w_i), accumulated as one integer
-    # list over the lcm of the terms' denominators.
-    dens = [w.denominator * p.den for p, w in terms]
-    common = lcm(*dens)
+def _combine(terms: Iterable[tuple[Poly, int]], den: int = 1) -> Poly:
+    # sum_i w_i p_i / den over the pairs (p_i, w_i) of integer weights,
+    # accumulated as one integer list over the lcm of the terms' denominators.
+    terms = list(terms)
+    common = lcm(*(p.den for p, _ in terms))
     acc = [0] * max((len(p.nums) for p, _ in terms), default=0)
-    for (p, w), d in zip(terms, dens):
-        w = w.numerator * (common // d)
+    for p, w in terms:
+        w *= common // p.den
         for j, c in enumerate(p.nums):
             acc[j] += w * c
     return from_parts(acc, common * den)
 
 
-def _appell_number(e: int, k: int, offset: int) -> Fraction:
+def _values(polys: Sequence[Poly], x0: int) -> tuple[list[int], int]:
+    # P(x0) per polynomial as integers over one denominator.
+    den = lcm(*(p.den for p in polys))
+    powers = [x0**j for j in range(max(len(p.nums) for p in polys))]
+    return [sum(map(mul, p.nums, powers)) * (den // p.den) for p in polys], den
+
+
+def _appell_numbers(top: int, k: int, offset: int) -> list[Fraction]:
     # (-1)^e (e+offset)^-k: the number sequence of the T3 and T5 Appell expansions.
-    return (-1) ** e * Fraction(e + offset) ** -k
+    return [(-1) ** e * Fraction(e + offset) ** -k for e in range(top + 1)]
 
 
-def _bernoulli_below(r: int, n: int) -> Fraction:
+def _bernoulli_below(top: int, n: int) -> list[Fraction]:
     # B_r^(n), read by T5/E48 for r < n only: r = n would carry C(n-1, n) = 0.
-    return bernoulli_order(r, n) if r < n else Fraction(0)
+    return bernoulli_row(n - 1, n)[:n]
 
 
 def _expanded(group: _Group, n: int, hat: bool, expansion: tuple[list[int], int]) -> dict:
@@ -281,9 +296,9 @@ def _plain(lhs: Poly, rhs: Poly, note: str | None = None) -> dict:
     return _outcome(lhs == rhs, lhs, rhs, note=note)
 
 
-def _audited(lhs: Poly, printed: Poly, derived: Poly) -> dict:
-    as_printed = lhs == printed
-    derivation = lhs == derived
+def _audited(as_printed: bool, derivation: bool, sides: Callable[[], tuple[Poly, Poly]]) -> dict:
+    # sides() gives the left side and the derivation form, built only when
+    # both forms fail.
     if as_printed and derivation:
         note = "holds as printed and in derivation form"
     elif derivation:
@@ -292,8 +307,9 @@ def _audited(lhs: Poly, printed: Poly, derived: Poly) -> dict:
         note = "holds as printed; derivation form fails"
     else:
         note = "both forms fail"
+    equal = as_printed or derivation
     return _outcome(
-        as_printed or derivation, lhs, derived,
+        equal, *((None, None) if equal else sides()),
         note=note, as_printed=as_printed, derivation_form=derivation,
     )
 
@@ -302,24 +318,26 @@ def _audited(lhs: Poly, printed: Poly, derived: Poly) -> dict:
 
 
 def _check_t1(group: _Group, n: int, *, hat: bool) -> dict:
-    # Theorem 1; with hat, equation (30).
-    cauchy = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
-    terms = [
-        (cauchy(l, group.k), comb(n, l) * (-1) ** (n - l) * group.a**-l) for l in range(n + 1)
-    ]
-    return _plain(group.members(hat)[n], _combine(terms))
+    # Theorem 1; with hat, equation (30).  The weight C(n, l) (-1)^(n-l) a^-l
+    # is C(n, l) (-p)^(n-l) q^l / p^n for a = p/q.
+    p, q = group.a.numerator, group.a.denominator
+    terms = zip(group.poly_cauchy(hat), group.binomial(-p, q)[n])
+    return _plain(group.members(hat)[n], _combine(terms, p**n))
 
 
 def _check_p2(group: _Group, n: int, *, hat: bool) -> dict:
     # Proposition 2; with hat, equation (31) re-indexed by l -> n-l.  The
-    # first kind convolves with the Poisson-Charlier polynomials at -x.
-    cauchy = fam.poly_cauchy_second if hat else fam.poly_cauchy_first
-    terms = []
-    for l in range(n + 1):
-        w = comb(n, l) * cauchy(n - l, group.k)(0) * group.a ** -(n - l)
-        charlier = fam.poisson_charlier(l, group.a)
-        terms.append((charlier if hat else charlier.compose(-X), w))
-    return _plain(group.members(hat)[n], _combine(terms))
+    # first kind convolves with the Poisson-Charlier polynomials at -x (odd
+    # coefficients negated).  C(n, l) C_(n-l)(0) a^-(n-l) is an integer / p^n.
+    p, q = group.a.numerator, group.a.denominator
+    at_zero, den = group._keep(("poly-Cauchy at 0", hat),
+                               lambda: _values(group.poly_cauchy(hat), 0))
+    charlier = group._keep(("charlier", hat), lambda: [
+        from_parts([-c if j % 2 and not hat else c for j, c in enumerate(poly.nums)], poly.den)
+        for poly in (fam.poisson_charlier(l, group.a) for l in range(group.top, -1, -1))
+    ][::-1])
+    weights = [w * c for w, c in zip(group.binomial(q, p)[n], at_zero[n::-1])]
+    return _plain(group.members(hat)[n], _combine(zip(charlier, weights), den * p**n))
 
 
 def _stirling_triple_sum(group: _Group, hat: bool, offset: int) -> tuple[list[int], int]:
@@ -329,7 +347,7 @@ def _stirling_triple_sum(group: _Group, hat: bool, offset: int) -> tuple[list[in
     # that is the Appell expansion of V_l = (-1)^l over (-1)^e (e+offset)^(-k),
     # with (-1)^m (c_m negated at odd m) left for the first kind only.
     signs = lambda: ([(-1) ** l for l in range(group.top + 1)], 1)
-    return group.expansion(("T3", offset), hat, signs, _appell_number, group.k, offset)
+    return group.expansion(("T3", offset), hat, signs, _appell_numbers, group.k, offset)
 
 
 def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
@@ -348,6 +366,9 @@ def _check_t3(group: _Group, n: int, *, hat: bool) -> dict:
 
 def _check_t4(group: _Group, n: int, *, hat: bool) -> dict:
     # Theorem 4; with hat, equation (41), which has no (-1)^l; N = delta_0.
+    # So _expanded compares the member's rising (falling) factorial
+    # coefficients with C(n, m) (-a)^-m P_(n-m)(0) (with hat, a^-m): that is
+    # Theorem 10 and the remark after it, which share this checker.
     return _expanded(group, n, hat, group.expansion("T4", hat, lambda: group.values(hat, 0)))
 
 
@@ -374,62 +395,60 @@ def _check_t5(group: _Group, n: int, *, hat: bool) -> dict:
         sum(weights[r] * comb(n - r, d) * touchard[n - r - d] for r in range(min(n - d + 1, n)))
         for d in range(n + 1)
     ]
-    nums, number_den = group.numbers(_appell_number, group.k, 1)
+    nums, number_den = group.numbers(_appell_numbers, group.k, 1)
     sums = [-c if d % 2 and not hat else c for d, c in enumerate(sums)]
     acc = [sum(comb(d, j) * nums[d - j] * c for d, c in enumerate(sums[j:], j))
            for j in range(n + 1)]
     return _plain(group.members(hat)[n], from_parts(acc, den * p**n * number_den))
 
 
+def _y_coefficient(group: _Group, n: int, hat: bool, r: int) -> Optional[tuple[Poly, Poly]]:
+    # Both sides of the y^r coefficient of (49), or of (50) with hat, or None
+    # where they agree.  On the left it is sum_i C(i, r) p_i x^(i-r).  (y)_m
+    # has the coefficients S1(m, r) and y^(m) has (-1)^(m-r) S1(m, r), so on
+    # the right it is sum_j C(n, j) S1(n-j, r) q^(n-j) p^j P_j(x) / p^n,
+    # negated at odd r for the first kind.
+    members, sign = group.members(hat), -1 if r % 2 and not hat else 1
+    weights = group.binomial(group.a.denominator, group.a.numerator)[n][:n - r + 1]
+    weights = [sign * w * group.s1[n - j][r] for j, w in enumerate(weights)]
+    rhs = _combine(zip(members, weights), group.a.numerator**n)
+    lhs = from_parts([comb(i, r) * c for i, c in enumerate(members[n].nums[r:], r)], members[n].den)
+    return None if lhs == rhs else (lhs, rhs)
+
+
 def _check_e49(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (49) against rising factorials scaled by (-1/a)^(n-j); with
     # hat, equation (50) against falling factorials scaled by (1/a)^(n-j).
     # Both sides are polynomials in y, compared coefficient by coefficient,
-    # so the identity is proved for every y.  The y^r coefficient of P_n(x+y)
-    # is sum_i C(i, r) p_i x^(i-r).  The falling factorial (y)_m has the
-    # coefficients S1(m, r) and the rising one (-1)^(m-r) S1(m, r), so the
-    # right side's is sum_j C(n, j) S1(n-j, r) a^-(n-j) P_j(x), negated at
-    # odd r for the first kind.
-    members = group.members(hat)
-    nums, den = members[n].nums, members[n].den
-    inverse = [group.a**-i for i in range(n + 1)]
+    # so the identity is proved for every y.
     for r in range(n + 1):
-        lhs = from_parts([comb(i, r) * c for i, c in enumerate(nums[r:], r)], den)
-        sign = -1 if r % 2 and not hat else 1
-        rhs = _combine([
-            (members[j], sign * comb(n, j) * group.s1[n - j][r] * inverse[n - j])
-            for j in range(n - r + 1)
-        ])
-        if lhs != rhs:
-            return _outcome(False, lhs, rhs, note=f"first failing coefficient of y^{r}")
+        sides = _y_coefficient(group, n, hat, r)
+        if sides:
+            return _outcome(False, *sides, note=f"first failing coefficient of y^{r}")
     return _outcome(True, None, None)
 
 
 def _check_e51(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (51) with the backward shift exp(-t); with hat, equation (52)
-    # with the forward shift exp(t).
-    members = group.members(hat)
-    shift = exp_series(n + 1) if hat else exp_neg_series(n + 1)
+    # with the forward shift exp(t).  One shift series serves every degree,
+    # as operator_apply reads len(p.nums) coefficients.
+    members, p, q = group.members(hat), group.a.numerator, group.a.denominator
+    series = exp_series if hat else exp_neg_series
+    shift = group._keep(("shift", hat), lambda: series(group.top + 1))
     lhs = operator_apply(shift, members[n]) - members[n]
-    rhs = members[n - 1] * (Fraction(n) / group.a)
-    note = (
-        "checked with both difference terms in the second-kind family; the "
-        "printed statement drops a hat on the subtracted term"
-    )
+    rhs = from_parts([n * q * c for c in members[n - 1].nums], members[n - 1].den * p)
+    note = ("checked with both difference terms in the second-kind family; the "
+            "printed statement drops a hat on the subtracted term")
     return _plain(lhs, rhs, note if hat else None)
 
 
 def _check_e68(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (68); with hat, equation (69), whose weights carry one more
-    # factor of -1.
-    members = group.members(hat)
-    lead = Fraction(factorial(n) * (-1) ** n)
-    rhs = _combine([
-        (members[l],
-         lead * Fraction((-1) ** (l + hat), (n - l) * factorial(l)) * group.a ** -(n - l))
-        for l in range(n)
-    ])
-    return _plain(members[n].derivative(), rhs)
+    # factor of -1.  As S1(m, 1) = (-1)^(m-1) (m-1)!, the stated weight
+    # n! (-1)^(n+l+hat) a^-(n-l) / ((n-l) l!) is -+C(n, l) S1(n-l, 1) a^-(n-l):
+    # this is the y^1 coefficient of (49) or (50), the derivative on the left.
+    sides = _y_coefficient(group, n, hat, 1)
+    return _outcome(sides is None, *(sides or (None, None)))
 
 
 def _check_t8(group: _Group, n: int, s: int, *, hat: bool) -> dict:
@@ -439,14 +458,14 @@ def _check_t8(group: _Group, n: int, s: int, *, hat: bool) -> dict:
     # with a^-i = q^i p^(top-i) / p^top for a = p/q.
     def values():
         at_s, den = group.values(hat, s)
-        weights, cauchy_den = group.numbers(cauchy_second if hat else cauchy_first, s)
+        weights, cauchy_den = group.numbers(cauchy_row, s, hat)
         p, q, top = group.a.numerator, group.a.denominator, group.top
         weights = [w * q**i * p ** (top - i) for i, w in enumerate(weights)]
         return [
             sum(comb(l, i) * weights[i] * at_s[l - i] for i in range(l + 1)) for l in range(top + 1)
         ], den * cauchy_den * p**top
 
-    return _expanded(group, n, hat, group.expansion(("T8", s), hat, values, bernoulli_order, s))
+    return _expanded(group, n, hat, group.expansion(("T8", s), hat, values, bernoulli_row, s))
 
 
 def _check_t9(group: _Group, n: int, s: int, lam: Fraction) -> dict:
@@ -465,7 +484,8 @@ def _check_t9(group: _Group, n: int, s: int, lam: Fraction) -> dict:
             for l in range(group.top + 1)
         ], den * sq**s
 
-    expansion = group.expansion(("T9", s, lam), False, values, frobenius_number, s, lam)
+    key = ("T9", s, lam.numerator, lam.denominator)
+    expansion = group.expansion(key, False, values, frobenius_row, s, lam)
     return _expanded(group, n, False, expansion)
 
 
@@ -481,68 +501,55 @@ def _check_e77(group: _Group, n: int, s: int, lam: Fraction) -> dict:
             sum(w * at[i][l] for i, w in enumerate(weights)) for l in range(group.top + 1)
         ], group.values(True, 0)[1] * (v - u) ** s
 
-    expansion = group.expansion(("E77", s, lam), True, values, frobenius_number, s, lam)
+    key = ("E77", s, lam.numerator, lam.denominator)
+    expansion = group.expansion(key, True, values, frobenius_row, s, lam)
     return _expanded(group, n, True, expansion)
-
-
-def _check_t10(group: _Group, n: int, *, hat: bool) -> dict:
-    # Theorem 10 over rising factorials, whose coefficients are |S1(m, j)|;
-    # with hat, the remark after it, over falling factorials, S1(m, j).
-    members = group.members(hat)
-    base = group.a if hat else -group.a
-    rhs = _combine([
-        (from_parts([c if hat else abs(c) for c in group.s1[m]], 1),
-         comb(n, m) * base**-m * members[n - m](0))
-        for m in range(n + 1)
-    ])
-    return _plain(members[n], rhs)
 
 
 # -- audit verifiers ----------------------------------------------------------
 
 
-def _recurrence_head(group: _Group, n: int, hat: bool) -> Poly:
-    # -P_{n-1}(x) -+ (x/a) P_{n-1}(x+-1), upper signs for the first kind: the
-    # head shared by the recurrences (54)-(55), T6 and equations (60)-(62).
-    sign = -1 if hat else 1
-    shifted = group.shifted(hat)[n - 1]
-    return -group.members(hat)[n - 1] - X * shifted * (Fraction(sign) / group.a)
-
-
 def _check_e54(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (54); with hat, equation (55).  The printed closing sum is a
-    # triple sum in the (x+1) or (x-1) power basis with the Lif index
-    # shifted by one.
-    sign = -1 if hat else 1
-    head = _recurrence_head(group, n + 1, hat)
+    # triple sum in the (x+1) or (x-1) power basis with the Lif index shifted
+    # by one.  With sign = -1 for hat, sign a D_(n+1) is that sum at x + sign
+    # as printed and the Lif-ratio operator on P_n(x + sign) in derivation form.
+    sign, remainder = -1 if hat else 1, group.remainders(hat)[n + 1]
+    scaled = remainder * (sign * group.a)
     tail = _monomial(group, n, hat, _stirling_triple_sum(group, hat, 2)).shifted(sign)
-    tail *= 1 / group.a
-    printed = head - tail if hat else head + tail
     split = operator_apply(group.lif_ratio(), group.shifted(hat)[n])
-    derived = head + split * (Fraction(sign) / group.a)
-    return _audited(group.members(hat)[n + 1], printed, derived)
+    member = group.members(hat)[n + 1]
+    return _audited(scaled == tail, scaled == split,
+                    lambda: (member, member - remainder + split * (Fraction(sign) / group.a)))
 
 
 def _check_t6(group: _Group, n: int, *, hat: bool, shift: bool = False) -> dict:
     # Theorem 6; with hat, equation (61).  With shift, equation (60), and
     # with hat too, equation (62): shifted members, first-kind Cauchy numbers.
     # As printed, (62)'s first difference term carries the fixed index n-1
-    # where (60) has n-l; its derivation form restores n-l.
+    # where (60) has n-l; its derivation form restores n-l.  Both forms are
+    # compared with the kept remainder D_n = P_n - head_n; the printed sum
+    # (1/n) sum_l C(n, l) C_l a^-l (lower - upper) reads the kept gaps.
     rows = group.shifted if shift else group.members
-    lower, upper = rows(hat, -1), rows(hat)
-    cauchy = cauchy_first if shift else cauchy_second
-    head = _recurrence_head(group, n, hat)
-
-    weights = [comb(n, l) * cauchy(l, 1) * group.a ** -l for l in range(n)]
+    p, q = group.a.numerator, group.a.denominator
+    cauchy, den = group.numbers(cauchy_row, 1, not shift)
+    weights = [w * c for w, c in zip(group.binomial(p, q)[n], cauchy[:n])]
 
     def stated(fixed: bool) -> Poly:
-        terms = [(lower[n - 1 if fixed else n - l], w) for l, w in enumerate(weights)]
-        terms += [(upper[n - l], -w) for l, w in enumerate(weights)]
-        return head + _combine(terms, n)
+        if fixed:
+            terms = [(rows(hat, -1)[n - 1], sum(weights))]
+            terms += [(upper, -w) for upper, w in zip(rows(hat)[n:0:-1], weights)]
+        else:
+            terms = zip(group._keep(("gaps", hat, shift), lambda: [
+                lower - upper for lower, upper in zip(rows(hat, -1), rows(hat))
+            ])[n:0:-1], weights)
+        return _combine(terms, den * p**n * n)
 
-    e62 = hat and shift
-    derived = stated(False) if e62 else head + group.tails(hat)[n - 1]
-    return _audited(group.members(hat)[n], stated(e62), derived)
+    remainder, e62 = group.remainders(hat)[n], hat and shift
+    tail = stated(False) if e62 else group.tails(hat)[n - 1]
+    member = group.members(hat)[n]
+    return _audited(remainder == stated(e62), remainder == tail,
+                    lambda: (member, member - remainder + tail))
 
 
 def _check_t7(group: _Group, n: int, m: int, *, hat: bool) -> dict:
@@ -744,12 +751,12 @@ CATALOGUE: dict[str, IdentityInfo] = {
             "first-kind mixed polynomials expanded over rising factorials",
             _SUM_STRATEGY + "; cross-checkable against connection "
             "coefficients with the rising-factorial pair",
-            partial(_check_t10, hat=False),
+            partial(_check_t4, hat=False),
         ),
         IdentityInfo(
             "T10H", "core", ("k", "a"), 0, "remark after Theorem 10",
             "second-kind mixed polynomials expanded over falling factorials",
-            _SUM_STRATEGY, partial(_check_t10, hat=True),
+            _SUM_STRATEGY, partial(_check_t4, hat=True),
         ),
         IdentityInfo(
             "E54", "audit", ("k", "a"), 1, "equation (54)",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Hashable
 
 from .poly import Poly, Rational, as_fraction, from_parts
@@ -105,43 +105,43 @@ def rising_poly(n: int) -> Poly:
     return from_parts(list(map(abs, stirling_rows(n)[n])), 1)
 
 
-# -- convolution powers of ordinary coefficient sequences -------------------
+# -- numbers of the powers of exponential series -----------------------------
 
 _POWERS: dict[tuple, list[Fraction]] = {}
 
 
 def _stirling_transform(n: int, second: bool, weight: Callable[[int], Fraction]) -> Fraction:
-    # (1/n!) sum_l S(n, l) weight(l), S the signed first kind or the second
-    # kind, over row n read once.
+    # sum_l S(n, l) weight(l), S the signed first kind or the second kind,
+    # over row n read once.
     row = stirling_rows(n, second)[n]
-    return sum((s * weight(l) for l, s in enumerate(row)), Fraction(0)) / factorial(n)
+    return sum((s * weight(l) for l, s in enumerate(row)), Fraction(0))
 
 
 def _cauchy_base(n: int, second: bool) -> Fraction:
-    # [t^n] t/log(1+t) via the integral of the binomial series,
-    # (1/n!) * sum_l S1(n, l) / (l + 1); for the second kind,
-    # [t^n] t/((1+t)log(1+t)), the same integral shifted by one, which puts
+    # n! [t^n] t/log(1+t) via the integral of the binomial series,
+    # sum_l S1(n, l) / (l + 1); for the second kind, n! [t^n]
+    # t/((1+t)log(1+t)), the same integral shifted by one, which puts
     # (-1)^l in each term.
     return _stirling_transform(n, False, lambda l: Fraction((-1) ** (l * second), l + 1))
 
 
 def _bernoulli_base(n: int) -> Fraction:
-    # [t^n] t/(exp(t)-1): Bernoulli number over n!, with the Worpitzky-style
-    # closed form B_n = sum_l (-1)^l l! S2(n, l) / (l + 1).
+    # n! [t^n] t/(exp(t)-1): the Worpitzky-style closed form
+    # B_n = sum_l (-1)^l l! S2(n, l) / (l + 1).
     return _stirling_transform(n, True, lambda l: Fraction((-1) ** l * factorial(l), l + 1))
 
 
-def _order_number(
-    name: str, key: tuple, base: Callable[[int], Fraction], n: int, r: int
-) -> Fraction:
-    """n! times ordinary coefficient n of the r-th convolution power of ``base``.
+def _order_row(name: str, key: tuple, base: Callable, n: int, r: int) -> list[Fraction]:
+    """Entries 0..n at least of v_m = m! [t^m] (sum_m b_m t^m / m!)^r,
+    b_m = base(m), as the list published last; callers never change it.
 
     Every base here starts with b_0 = 1.  Each (key, r) has one list; the list
     for r = 1 holds the base values, so each is computed once.  The others
-    grow one coefficient at a time by J. C. P. Miller's power recurrence
-    m c_m = sum_{j=1..m} ((r+1) j - m) b_j c_{m-j} (Knuth, TAOCP vol. 2,
-    section 4.7), which gives c_m = [m == 0] at r = 0.  ``name`` names the
-    numbers in the error for n < 0 or r < 0.
+    grow one entry at a time by J. C. P. Miller's power recurrence (Knuth,
+    TAOCP vol. 2, section 4.7), over the numbers
+    m v_m = sum_{j=1..m} ((r+1) j - m) C(m, j) b_j v_(m-j), which gives
+    v_m = [m == 0] at r = 0.  ``name`` names the numbers in the error for
+    n < 0 or r < 0.
     """
     if n < 0 or r < 0:
         raise ValueError(f"{name} numbers need n >= 0 and r >= 0")
@@ -149,37 +149,44 @@ def _order_number(
     def extend_base(b: list[Fraction], n: int) -> None:
         b += map(base, range(len(b), n + 1))
 
-    def extend_power(c: list[Fraction], n: int) -> None:
+    def extend_power(v: list[Fraction], n: int) -> None:
         b = grown(_POWERS, (key, 1), n, extend_base)
-        for m in range(len(c), n + 1):
-            terms = (((r + 1) * j - m) * b[j] * c[m - j] for j in range(1, m + 1))
-            c.append(sum(terms, Fraction(0)) / m if m else Fraction(1))
+        for m in range(len(v), n + 1):
+            terms = (((r + 1) * j - m) * comb(m, j) * b[j] * v[m - j] for j in range(1, m + 1))
+            v.append(sum(terms, Fraction(0)) / m if m else Fraction(1))
 
-    return factorial(n) * grown(_POWERS, (key, r), n, extend_base if r == 1 else extend_power)[n]
+    return grown(_POWERS, (key, r), n, extend_base if r == 1 else extend_power)
+
+
+def cauchy_row(n: int, r: int, second: bool = False) -> list[Fraction]:
+    """Cauchy numbers with order r at 0..n at least, of the first kind or the second."""
+    return _order_row("Cauchy", ("cauchy2" if second else "cauchy1",),
+                      partial(_cauchy_base, second=second), n, r)
 
 
 def cauchy_first(n: int, r: int) -> Fraction:
     """Cauchy number of the first kind with order r."""
-    return _order_number("Cauchy", ("cauchy1",), partial(_cauchy_base, second=False), n, r)
+    return cauchy_row(n, r)[n]
 
 
 def cauchy_second(n: int, r: int) -> Fraction:
     """Cauchy number of the second kind with order r."""
-    return _order_number("Cauchy", ("cauchy2",), partial(_cauchy_base, second=True), n, r)
+    return cauchy_row(n, r, True)[n]
+
+
+def bernoulli_row(n: int, r: int) -> list[Fraction]:
+    """Bernoulli numbers of order r at 0..n at least."""
+    return _order_row("Bernoulli", ("bernoulli",), _bernoulli_base, n, r)
 
 
 def bernoulli_order(n: int, r: int) -> Fraction:
     """Bernoulli number of order r."""
-    return _order_number("Bernoulli", ("bernoulli",), _bernoulli_base, n, r)
+    return bernoulli_row(n, r)[n]
 
 
-def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
-    """Frobenius-Euler number of order r at parameter lam (lam != 1).
-
-    The order-1 values come from the closed form
-    H_n = sum_j (-1)^j j! S2(n, j) / (1 - lam)^j; higher orders by Miller's
-    power recurrence.
-    """
+def frobenius_row(n: int, r: int, lam: Rational) -> list[Fraction]:
+    """Frobenius-Euler numbers of order r at parameter lam != 1, at 0..n at
+    least; order 1 from H_n = sum_j (-1)^j j! S2(n, j) / (1 - lam)^j."""
     lam = as_fraction(lam)
     if lam == 1:
         raise ValueError("Frobenius-Euler numbers need lam != 1")
@@ -187,7 +194,12 @@ def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
     def base(m: int) -> Fraction:
         return _stirling_transform(m, True, lambda j: (-1) ** j * factorial(j) * (1 - lam) ** -j)
 
-    return _order_number("Frobenius-Euler", ("frobenius", lam), base, n, r)
+    return _order_row("Frobenius-Euler", ("frobenius", lam), base, n, r)
+
+
+def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
+    """Frobenius-Euler number of order r at parameter lam (lam != 1)."""
+    return frobenius_row(n, r, lam)[n]
 
 
 def lif_series(k: int, order: int) -> Series:

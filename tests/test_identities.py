@@ -152,9 +152,9 @@ def test_right_sides_read_their_inputs(monkeypatch):
             assert not verify(ident, 6, params).equal, ident
 
     with monkeypatch.context() as patch:
-        for name in ("bernoulli_order", "frobenius_number"):
-            def perturbed(e, *args, _number=getattr(identities, name)):
-                return _number(e, *args) + (e == 3)
+        for name in ("bernoulli_row", "frobenius_row"):
+            def perturbed(n, *args, _row=getattr(identities, name)):
+                return [v + (e == 3) for e, v in enumerate(_row(n, *args))]
 
             patch.setattr(identities, name, perturbed)
         for ident in ("T5", "E48", "T8", "E74", "T9", "E77"):
@@ -174,13 +174,128 @@ def test_right_sides_read_their_inputs(monkeypatch):
 
 def _lower_member_fault(monkeypatch) -> dict:
     # P_2 + 1 in both families at every k, planted as in
-    # test_right_sides_read_their_inputs; the faulty lookup of each kind.
-    lower = SimpleNamespace(
-        pc_mixed=lambda n, k, a: pc_mixed(n, k, a) + (n == 2),
-        pc_hat_mixed=lambda n, k, a: pc_hat_mixed(n, k, a) + (n == 2),
-    )
+    # test_right_sides_read_their_inputs, every other family as it is; the
+    # faulty lookup of each kind.
+    lower = SimpleNamespace(**{
+        **vars(families),
+        "pc_mixed": lambda n, k, a: pc_mixed(n, k, a) + (n == 2),
+        "pc_hat_mixed": lambda n, k, a: pc_hat_mixed(n, k, a) + (n == 2),
+    })
     monkeypatch.setattr(identities, "fam", lower)
     return {False: lower.pc_mixed, True: lower.pc_hat_mixed}
+
+
+_AUDIT_NOTES = {
+    (True, True): "holds as printed and in derivation form",
+    (False, True): "printed form fails; derivation form holds",
+    (True, False): "holds as printed; derivation form fails",
+    (False, False): "both forms fail",
+}
+
+
+def _fraction_sides(ident, n, k, a, member, appell) -> dict:
+    # The result fields verify() must report for T1, P2, E49, E51, E68, T10,
+    # T6, E60, E54 or a second-kind twin, from the printed formulas summed in
+    # Fractions over coefficient lists of length n + 3.  ``member[hat]`` is
+    # the family lookup and ``appell(n, values, numbers, signed)`` the Appell
+    # expansion of the printed E54/E55 tail.
+    hat = ident in ("E30", "E31", "E50", "E52", "E69", "T10H", "E61", "E62", "E55")
+    size, sign, s1, fields = n + 3, -1 if hat else 1, special.stirling1, {}
+
+    def cs(p):
+        return [p.coefficient(j) for j in range(size)]
+
+    def total(terms):  # sum of w * c over the pairs (c, w)
+        return [sum((w * c[j] for c, w in terms), F(0)) for j in range(size)]
+
+    def at(c, h):  # c(x + h), by the binomial theorem
+        return [sum((comb(i, j) * F(h) ** (i - j) * c[i] for i in range(j, size)), F(0))
+                for j in range(size)]
+
+    def p(l, dk=0):
+        return cs(member[hat](l, k + dk, a))
+
+    lhs = p(n)
+    if ident in ("T1", "E30", "P2", "E31"):
+        cauchy = families.poly_cauchy_second if hat else families.poly_cauchy_first
+        if ident in ("T1", "E30"):
+            rhs = total([(cs(cauchy(l, k)), comb(n, l) * (-1) ** (n - l) * a**-l)
+                         for l in range(n + 1)])
+        else:  # the first kind reads the Poisson-Charlier polynomials at -x
+            rhs = total([([c * (1 if hat else (-1) ** j)
+                           for j, c in enumerate(cs(families.poisson_charlier(l, a)))],
+                          comb(n, l) * cauchy(n - l, k)(0) * a ** (l - n)) for l in range(n + 1)])
+    elif ident in ("E49", "E50"):
+        # The y^r coefficients of P_n(x+y) and of sum_j C(n, j) (-+1/a)^(n-j)
+        # b_(n-j)(y) P_j(x), b_m(y) rising (upper sign) or falling.
+        step, top = F(1 if hat else -1) / a, lhs
+        for r in range(n + 1):
+            lhs = [comb(j + r, r) * top[j + r] if j + r < size else F(0) for j in range(size)]
+            rhs = total([(p(j), comb(n, j) * step ** (n - j) * (1 if hat else (-1) ** (n - j - r))
+                          * s1(n - j, r)) for j in range(n - r + 1)])
+            if lhs != rhs:
+                fields["note"] = f"first failing coefficient of y^{r}"
+                break
+    elif ident in ("E51", "E52"):
+        lhs = [x - y for x, y in zip(at(lhs, -sign), lhs)]
+        rhs = [F(n) / a * c for c in p(n - 1)]
+        if hat:
+            fields["note"] = ("checked with both difference terms in the second-kind family; "
+                              "the printed statement drops a hat on the subtracted term")
+    elif ident in ("E68", "E69"):
+        lhs = [(j + 1) * c for j, c in enumerate(lhs[1:])] + [F(0)]
+        rhs = total([(p(l), factorial(n) * (-1) ** n * F((-1) ** (l + hat), (n - l) * factorial(l))
+                      * a ** (l - n)) for l in range(n)])
+    elif ident in ("T10", "T10H"):
+        basis = [[F(abs(s1(m, i)) if not hat else s1(m, i)) if i <= m else F(0)
+                  for i in range(size)] for m in range(n + 1)]
+        rhs = total([(basis[m], comb(n, m) * (a if hat else -a) ** -m * member[hat](n - m, k, a)(0))
+                     for m in range(n + 1)])
+    else:
+        # The recurrence head -P_(t-1)(x) -+ (x/a) P_(t-1)(x+-1) at t = n, or
+        # at t = n + 1 for E54/E55, plus the printed and derivation tails.
+        lower = p(n if ident in ("E54", "E55") else n - 1)
+        head = [-c - sign * x / a for c, x in zip(lower, [F(0)] + at(lower, sign))]
+        if ident in ("E54", "E55"):
+            lhs = p(n + 1)
+            numbers = [(-1) ** e * F(e + 2) ** -k for e in range(n + 1)]
+            tail = at(cs(appell(n, [(-1) ** l for l in range(n + 1)], numbers, not hat)), sign)
+            printed = [h + sign * c / a for h, c in zip(head, tail)]
+            # The operator Lif_k'(-t) / Lif_k(-t), t = d/dx, on P_n(x + sign).
+            lif = [F((-1) ** m, factorial(m)) * F(m + 1) ** -k for m in range(size)]
+            ratio = []
+            for m in range(size):
+                prime = F((-1) ** m, factorial(m)) * F(m + 2) ** -k
+                ratio.append(prime - sum(lif[i] * ratio[m - i] for i in range(1, m + 1)))
+            shifted = at(p(n), sign)
+            split = [sum(ratio[d] * perm(j + d, d) * shifted[j + d] for d in range(size - j))
+                     for j in range(size)]
+            derived = [h + sign * c / a for h, c in zip(head, split)]
+        else:
+            shift = ident in ("E60", "E62")
+            cauchy = special.cauchy_first if shift else special.cauchy_second
+            weights = [comb(n, l) * cauchy(l, 1) * a**-l / n for l in range(n)]
+
+            def row(l, dk):
+                return at(p(l, dk), sign) if shift else p(l, dk)
+
+            def stated(fixed):
+                terms = [(row(n - 1 if fixed else n - l, -1), w) for l, w in enumerate(weights)]
+                terms += [(row(n - l, 0), -w) for l, w in enumerate(weights)]
+                return [h + c for h, c in zip(head, total(terms))]
+
+            printed = stated(ident == "E62")
+            tail = cs(identities._mixed_tail_series(k, a, hat, n).egf_coefficient(n - 1))
+            derived = stated(False) if ident == "E62" else [h + c for h, c in zip(head, tail)]
+        as_printed, derivation = lhs == printed, lhs == derived
+        fields.update(note=_AUDIT_NOTES[as_printed, derivation], as_printed=as_printed,
+                      derivation_form=derivation)
+        rhs = derived
+    audit = "as_printed" in fields
+    equal = (fields["as_printed"] or fields["derivation_form"]) if audit else lhs == rhs
+    sides = (None, None) if equal else (Poly(lhs), Poly(rhs))
+    return {"note": None, "as_printed": None, "derivation_form": None, **fields,
+            "equal": equal, "lhs": sides[0], "rhs": sides[1]}
 
 
 def test_mismatch_reports_the_printed_right_side(monkeypatch):
@@ -263,6 +378,30 @@ def test_mismatch_reports_the_printed_right_side(monkeypatch):
                     sides_ = (Poly((direct,)), Poly((chained,)))
                     assert (result.lhs, result.rhs) == sides_, (ident, n, m)
     assert failures["T7"] and failures["E67"]
+
+    # The checkers that sum integer weights over p^n or compare with the
+    # kept recurrence remainders, against their printed formulas.
+    weighted = ("T1", "E30", "P2", "E31", "E49", "E50", "E51", "E52", "E68", "E69", "T10",
+                "T10H", "T6", "E60", "E61", "E62", "E54", "E55")
+    for ident in weighted:
+        for n in range(CATALOGUE[ident].n_min, 7):
+            result = verify(ident, n, k=k, a=a)
+            expected = _fraction_sides(ident, n, k, a, member, printed)
+            assert {name: getattr(result, name) for name in expected} == expected, (ident, n)
+            failures[ident] += not result.equal
+    assert all(failures[ident] for ident in weighted), failures
+
+
+def test_kept_tables_live_per_group(monkeypatch):
+    # A group keeps what its checks build, and verify_grid builds one group
+    # per (k, a) on every call: a fault planted after a clean sweep in the
+    # same process must still be caught by every identity.
+    grid = dataclasses.replace(
+        SINGLETON, k_values=(2,), a_values=(F(3, 7),), lam_values=(F(1, 2),)
+    )
+    assert all(r.equal for r in verify_grid(ALL_IDS, 6, grid))
+    _lower_member_fault(monkeypatch)
+    assert {r.identity for r in verify_grid(ALL_IDS, 6, grid) if not r.equal} == set(ALL_IDS)
 
 
 def test_members_round_trip_through_the_factorial_bases():
@@ -380,7 +519,7 @@ def test_audited_notes_each_outcome():
         (other, other, False, False, "both forms fail"),
     ]
     for printed, derived, as_printed, derivation, note in cases:
-        out = identities._audited(lhs, printed, derived)
+        out = identities._audited(lhs == printed, lhs == derived, lambda: (lhs, derived))
         assert out["note"] == note
         assert (out["as_printed"], out["derivation_form"]) == (as_printed, derivation)
         assert out["equal"] == (as_printed or derivation)
