@@ -14,7 +14,7 @@ The package is layered bottom-up:
 * :mod:`pcmix.cli`: the ``pcmix`` command.
 """
 
-from .poly import Poly, X, monomial
+from .poly import Poly, X
 from .series import (
     NotDelta,
     NotInvertible,
@@ -23,14 +23,12 @@ from .series import (
     Series,
     SeriesError,
     binomial_pow,
-    constant_series,
     exp_neg_series,
     exp_series,
     exp_xt,
     log1p_scaled,
     one_series,
     t_series,
-    zero_series,
 )
 from .special import (
     bernoulli_order,
@@ -49,7 +47,6 @@ from .sheffer import (
     connection_coefficients,
     operator_apply,
     recurrence_next,
-    transfer_check,
 )
 from .families import (
     bernoulli_poly,

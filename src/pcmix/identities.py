@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import families as fam
 from .poly import Poly, Rational, X, as_fraction, from_parts
-from .series import Series, binomial_pow, exp_neg_series, exp_series
+from .series import Series, binomial_pow, exp_neg_series
 from .sheffer import operator_apply
 from .special import bernoulli_row, cauchy_row, frobenius_row, lif_series, stirling_rows
 
@@ -354,7 +354,7 @@ def t3_polynomial(n: int, k: int, a: Rational, hat: bool = False) -> Poly:
     """The explicit triple-sum formula for the first-kind mixed polynomial,
     or for the second-kind one when ``hat`` is true; ParameterError unless
     n >= 0 and k are integers and a is a nonzero rational."""
-    _check_degree("t3_polynomial", n, 0)
+    _check_integer("t3_polynomial", n, 0)
     group = _Group(_axis_value("k", k, n), _axis_value("a", a, n), n + 1)
     return _monomial(group, n, hat, _stirling_triple_sum(group, hat, 1))
 
@@ -430,12 +430,10 @@ def _check_e49(group: _Group, n: int, *, hat: bool) -> dict:
 
 def _check_e51(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (51) with the backward shift exp(-t); with hat, equation (52)
-    # with the forward shift exp(t).  One shift series serves every degree,
-    # as operator_apply reads len(p.nums) coefficients.
+    # with the forward shift exp(t).  exp(c t) p(x) = p(x + c), so the left
+    # side is the member at x - 1 (x + 1) less the member.
     members, p, q = group.members(hat), group.a.numerator, group.a.denominator
-    series = exp_series if hat else exp_neg_series
-    shift = group._keep(("shift", hat), lambda: series(group.top + 1))
-    lhs = operator_apply(shift, members[n]) - members[n]
+    lhs = members[n].shifted(1 if hat else -1) - members[n]
     rhs = from_parts([n * q * c for c in members[n - 1].nums], members[n - 1].den * p)
     note = ("checked with both difference terms in the second-kind family; the "
             "printed statement drops a hat on the subtracted term")
@@ -692,16 +690,16 @@ CATALOGUE: dict[str, IdentityInfo] = {
         IdentityInfo(
             "E51", "core", ("k", "a"), 1, "equation (51)",
             "unit backward shift lowers the first-kind mixed polynomials",
-            "left side assembled with the shift operator exp(-t); right side "
-            "a scaled lower-degree member",
+            "left side is the member at x-1, the image of the shift operator "
+            "exp(-t), less the member; right side a scaled lower-degree member",
             partial(_check_e51, hat=False),
         ),
         IdentityInfo(
             "E52", "core", ("k", "a"), 1, "equation (52)",
             "unit forward shift lowers the second-kind mixed polynomials",
-            "left side assembled with the shift operator exp(t); the printed "
-            "statement drops a hat on the subtracted term, checked in the "
-            "consistent all-second-kind form",
+            "left side is the member at x+1, the image of the shift operator "
+            "exp(t), less the member; the printed statement drops a hat on the "
+            "subtracted term, checked in the consistent all-second-kind form",
             partial(_check_e51, hat=True),
         ),
         IdentityInfo(
@@ -853,9 +851,10 @@ def _axis_value(axis: str, value, n: int):
     return value
 
 
-def _check_degree(name: str, n, n_min: int) -> None:
-    if not isinstance(n, int) or n < n_min:
-        raise ParameterError(f"{name} needs an integer n >= {n_min}, got {n!r}")
+def _check_integer(name: str, value, least: int, what: str = "n") -> None:
+    # bool is a subclass of int, but True is no degree or worker count.
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ParameterError(f"{name} needs an integer {what} >= {least}, got {value!r}")
 
 
 def _run(group: _Group, info: IdentityInfo, n: int, params: dict) -> VerificationResult:
@@ -872,7 +871,7 @@ def verify(identity: str, n: int, params: Mapping | None = None, **kwargs) -> Ve
     if info is None:
         raise ParameterError(f"unknown identity {identity!r}")
     supplied = {**(params or {}), **kwargs}
-    _check_degree(identity, n, info.n_min)
+    _check_integer(identity, n, info.n_min)
     canonical = {}
     for axis in info.axes:
         if axis not in supplied:
@@ -911,8 +910,8 @@ def verify_grid(
     parameters lexicographic in (name, value), with m before n for T7/E67,
     then n.  An unknown identity, a repeated identity or grid value, a value
     outside the domain of an axis some requested identity reads, an
-    ``n_max`` that is not an integer >= 0, or ``jobs < 1`` raises
-    ParameterError before any check runs.
+    ``n_max`` that is not an integer >= 0, or a ``jobs`` that is not an
+    integer >= 1 raises ParameterError before any check runs.
 
     Without ``encode`` the result is the flat list of VerificationResults.
     With it, the result is ``encode(results)`` for each task, in task order:
@@ -930,9 +929,8 @@ def verify_grid(
     """
     grid = grid or DEFAULT_GRID
     ids = tuple(ids)
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    _check_degree("verify_grid", n_max, 0)
+    _check_integer("verify_grid", jobs, 1, "jobs")
+    _check_integer("verify_grid", n_max, 0)
     axis_values = {
         "k": grid.k_values, "a": grid.a_values, "s": grid.s_values, "lam": grid.lam_values,
     }

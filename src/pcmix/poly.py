@@ -108,20 +108,6 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self.nums) <= 1
 
-    @property
-    def constant_value(self) -> Fraction:
-        """Value as a scalar; only valid for constant polynomials."""
-        if not self.is_constant:
-            raise ValueError(f"{self} is not a constant polynomial")
-        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
-
-    @property
-    def lead(self) -> Fraction:
-        """Leading coefficient; only valid for nonzero polynomials."""
-        if not self.nums:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
-
     def coefficient(self, j: int) -> Fraction:
         """Coefficient of x**j (zero beyond the stored degree)."""
         if j < 0:
@@ -234,12 +220,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return from_parts([i * c for i, c in enumerate(self.nums) if i], self.den)
 
-    def divide_x(self) -> "Poly":
-        """Exact division by x; requires a zero constant term."""
-        if self.nums and self.nums[0]:
-            raise ValueError(f"{self} is not divisible by x")
-        return from_parts(list(self.nums[1:]), self.den)
-
     def __str__(self) -> str:
         coeffs = self.coeffs
         if not coeffs:
@@ -269,10 +249,3 @@ class Poly:
 
 #: The variable itself, for building polynomials by arithmetic.
 X = Poly((0, 1))
-
-
-def monomial(degree: int, coefficient: Rational = 1) -> Poly:
-    """coefficient * x**degree."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    return Poly((0,) * degree + (coefficient,))

@@ -302,16 +302,8 @@ class Series:
 # -- constructors ----------------------------------------------------------
 
 
-def zero_series(order: int) -> Series:
-    return Series((), order)
-
-
 def one_series(order: int) -> Series:
     return Series((Poly((1,)),), order)
-
-
-def constant_series(value: Coefficient, order: int) -> Series:
-    return Series((_as_poly(value),), order)
 
 
 def t_series(order: int) -> Series:

@@ -31,7 +31,6 @@ from .series import (
     SeriesError,
     _over_common_denominator,
     exp_xt,
-    one_series,
 )
 
 
@@ -143,23 +142,3 @@ def recurrence_next(pair: ShefferPair, s_n: Poly) -> Poly:
     inv_fprime, g_ratio = pair._recurrence_ops
     v = operator_apply(inv_fprime, s_n)
     return X * v - operator_apply(g_ratio, v)
-
-
-def transfer_check(f: Series, g: Series, n: int) -> bool:
-    """Check the transfer formula between the associated sequences of f and g.
-
-    With p the sequence for (1, f) and q the sequence for (1, g), tests
-    q_n(x) = x * (f(t)/g(t))^n * x^{-1} * p_n(x) for n >= 1.
-    """
-    if n < 1:
-        raise ValueError("the transfer formula needs n >= 1")
-    if f.order != g.order:
-        raise SeriesError("transfer needs series of equal order")
-    if not (f.is_delta and g.is_delta):
-        raise NotDelta("transfer needs two delta series")
-    p_n = ShefferPair(one_series(f.order), f).polynomial(n)
-    q_n = ShefferPair(one_series(g.order), g).polynomial(n)
-    ratio = f.divide_t() * g.divide_t().inverse()
-    lowered = p_n.divide_x()  # associated sequences vanish at 0 for n >= 1
-    mapped = X * operator_apply(ratio ** n, lowered)
-    return mapped == q_n

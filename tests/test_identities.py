@@ -34,7 +34,8 @@ from pcmix.identities import (
     verify_grid,
 )
 from pcmix.poly import Poly
-from pcmix.sheffer import connection_coefficients
+from pcmix.series import exp_neg_series, exp_series
+from pcmix.sheffer import connection_coefficients, operator_apply
 
 SINGLETON = Grid(
     a_values=(F(1),), k_values=(1,), s_values=(1,), lam_values=(F(2),)
@@ -82,6 +83,18 @@ def test_t10_cross_checked_against_connection_coefficients():
 
 def test_e51_shifted_argument_route():
     assert verify("E51", 3, k=2, a=F(3, 7)).equal
+
+
+def test_shift_operators_give_the_e51_e52_left_side():
+    # E51/E52 read the member at x -+ 1; applied as an operator, exp(-+t)
+    # is that shift, so both routes give one left side.
+    backward, forward = exp_neg_series(12), exp_series(12)
+    for k in (-2, 0, 3):
+        for a in (F(3, 7), F(-5, 2), F(2)):
+            for n in range(12):
+                p, q = pc_mixed(n, k, a), pc_hat_mixed(n, k, a)
+                assert operator_apply(backward, p) == p.shifted(-1), (k, a, n)
+                assert operator_apply(forward, q) == q.shifted(1), (k, a, n)
 
 
 def test_t3_is_independent_route():
@@ -496,6 +509,14 @@ def test_parameter_domain_errors():
         verify_grid(("T1", "NOPE"), 1, SINGLETON)
     with pytest.raises(ParameterError):
         verify_grid(("T1",), 1, SINGLETON, jobs=0)
+    with pytest.raises(ParameterError):
+        verify("T1", True, k=1, a=1)  # bool is an int subclass, not a degree
+    with pytest.raises(ParameterError):
+        verify_grid(("T1",), True, SINGLETON)
+    with pytest.raises(ParameterError):
+        verify_grid(("T1",), 1, SINGLETON, jobs=1.5)
+    with pytest.raises(ParameterError):
+        verify_grid(("T1",), 1, SINGLETON, jobs=True)
 
 
 def count_checks(monkeypatch) -> list:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmix.poly import Poly, X, from_parts, monomial
+from pcmix.poly import Poly, X, from_parts
 
 
 def test_trailing_zeros_trimmed():
@@ -42,18 +42,6 @@ def test_evaluation_and_compose():
 def test_derivative_and_divide_x():
     p = X ** 3 + 5 * X
     assert p.derivative() == 3 * X ** 2 + 5
-    assert p.divide_x() == X ** 2 + 5
-    with pytest.raises(ValueError):
-        (X + 1).divide_x()
-
-
-def test_constant_helpers():
-    assert Poly((F(3, 4),)).constant_value == F(3, 4)
-    assert Poly().constant_value == 0
-    with pytest.raises(ValueError):
-        X.constant_value
-    assert monomial(3, 2) == 2 * X ** 3
-    assert (X ** 2 - 1).lead == 1
 
 
 def test_hash_and_equality():
@@ -163,8 +151,6 @@ def test_evaluation_and_composition_match_fraction_reference(a, inner, point):
 def test_derivative_and_divide_x_match_fraction_reference(a):
     p = Poly(a)
     assert_matches(p.derivative(), [j * c for j, c in enumerate(a) if j])
-    shifted = Poly([F(0)] + a)
-    assert_matches(shifted.divide_x(), a)
 
 
 @settings(deadline=None, max_examples=100)

@@ -98,7 +98,7 @@ def test_stirling1_series_bridge():
             expected = (
                 F(factorial(m) * stirling1(l, m), factorial(l)) if l >= m else F(0)
             )
-            assert power.coeffs[l].constant_value == expected
+            assert power.coeffs[l] == expected
 
 
 def test_stirling_domain_errors():
@@ -134,8 +134,8 @@ def test_cauchy_first_order_two_by_squaring():
     gf = log1p_scaled(1, 8).divide_t().inverse()
     squared = gf * gf
     for n in range(6):
-        assert cauchy_first(n, 2) == squared.egf_coefficient(n).constant_value
-    assert cauchy_first(2, 2) == squared.egf_coefficient(2).constant_value
+        assert cauchy_first(n, 2) == squared.egf_coefficient(n)
+    assert cauchy_first(2, 2) == squared.egf_coefficient(2)
 
 
 def test_cauchy_second_values():
@@ -153,8 +153,8 @@ def test_cauchy_gf_relation_between_kinds():
     second = second_base.divide_t().inverse()
     assert first == (one_series(n - 1) + t_series(n - 1)) * second
     for m in range(n - 1):
-        assert cauchy_first(m, 1) == first.egf_coefficient(m).constant_value
-        assert cauchy_second(m, 1) == second.egf_coefficient(m).constant_value
+        assert cauchy_first(m, 1) == first.egf_coefficient(m)
+        assert cauchy_second(m, 1) == second.egf_coefficient(m)
 
 
 def test_cauchy_higher_order_against_series_power():
@@ -164,8 +164,8 @@ def test_cauchy_higher_order_against_series_power():
             ((one_series(13) + t_series(13)) * log1p_scaled(1, 13)).divide_t().inverse()
         ) ** r
         for n in range(13 - 1):
-            assert cauchy_first(n, r) == gf.egf_coefficient(n).constant_value
-            assert cauchy_second(n, r) == gf2.egf_coefficient(n).constant_value
+            assert cauchy_first(n, r) == gf.egf_coefficient(n)
+            assert cauchy_second(n, r) == gf2.egf_coefficient(n)
 
 
 def test_bernoulli_order_values():
@@ -180,7 +180,7 @@ def test_bernoulli_order_against_series_power():
     for r in range(5):
         gf = base ** r
         for n in range(13):
-            assert bernoulli_order(n, r) == gf.egf_coefficient(n).constant_value
+            assert bernoulli_order(n, r) == gf.egf_coefficient(n)
 
 
 def test_frobenius_number_against_series():
@@ -189,7 +189,7 @@ def test_frobenius_number_against_series():
     for r in range(4):
         gf = base ** r
         for n in range(10):
-            assert frobenius_number(n, r, lam) == gf.egf_coefficient(n).constant_value
+            assert frobenius_number(n, r, lam) == gf.egf_coefficient(n)
     with pytest.raises(ValueError):
         frobenius_number(2, 1, 1)
 
@@ -280,7 +280,7 @@ def test_lif_index_difference():
         diff = lif_series(k, 7) - lif_series(k - 1, 7)
         for n in range(7):
             expected = (F(n + 1) ** -k - F(n + 1) ** -(k - 1)) / factorial(n)
-            assert diff.coeffs[n].constant_value == expected
+            assert diff.coeffs[n] == expected
 
 
 def _factorial_product(n, step):
