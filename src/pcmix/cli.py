@@ -71,10 +71,6 @@ def _pair(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 
 
-def _poly_wire(p: Poly) -> list[list[int]]:
-    return [_pair(c) for c in p.coeffs]
-
-
 def _param_wire(name: str, value) -> object:
     if name in ("k", "r", "s", "m"):
         return int(value)
@@ -179,35 +175,63 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _result_wire(result: VerificationResult) -> dict:
-    params = {
-        _WIRE_NAMES.get(name, name): _param_wire(name, value)
-        for name, value in sorted(result.params.items())
-    }
-    out = {"id": result.identity, "n": result.n, "params": params, "equal": result.equal}
-    if result.as_printed is not None:
-        out["as_printed"] = result.as_printed
-        out["derivation_form"] = result.derivation_form
-    if result.lhs is not None:
-        out["lhs"] = _poly_wire(result.lhs)
-        out["rhs"] = _poly_wire(result.rhs)
-    if result.note:
-        out["note"] = result.note
-    return out
-
-
 def _params_text(params: dict) -> str:
     return ", ".join(
         f"{_WIRE_NAMES.get(name, name)}={value}" for name, value in sorted(params.items())
     )
 
 
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_poly(p: Poly) -> str:
+    # Each [num, den] pair one value per line, at the depth of lhs and rhs.
+    pairs = ",\n".join(
+        f"        [\n          {c.numerator},\n          {c.denominator}\n        ]"
+        for c in p.coeffs
+    )
+    return f"[\n{pairs}\n      ]" if pairs else "[]"
+
+
+def _json_entries(results: list[VerificationResult]) -> str:
+    """The entries of ``results`` in the report's results list, byte for
+    byte as json.dumps(report, indent=2) prints them there: each indented
+    by 4, joined by commas, without the list's brackets.  Keys come in the
+    order id, n, params, equal, as_printed and derivation_form, lhs and rhs,
+    note, each only when set."""
+    quote = json.encoder.encode_basestring_ascii  # the C escaper of json.dumps
+    entries = []
+    point = None
+    for r in results:
+        if (r.identity, r.params) != point:
+            # Within a task only m changes the point, between runs of n.
+            point = (r.identity, r.params)
+            fields = []
+            for name, value in sorted(r.params.items()):
+                value = _param_wire(name, value)
+                value = quote(value) if isinstance(value, str) else value
+                fields.append(f"        {quote(_WIRE_NAMES.get(name, name))}: {value}")
+            params = "{\n" + ",\n".join(fields) + "\n      }" if fields else "{}"
+            head = f'    {{\n      "id": {quote(r.identity)},\n      "n": '
+            middle = f',\n      "params": {params},\n      "equal": '
+        parts = [head, str(r.n), middle, _JSON_LITERALS[r.equal]]
+        if r.as_printed is not None:
+            parts += [',\n      "as_printed": ', _JSON_LITERALS[r.as_printed],
+                      ',\n      "derivation_form": ', _JSON_LITERALS[r.derivation_form]]
+        if r.lhs is not None:
+            parts += [',\n      "lhs": ', _json_poly(r.lhs), ',\n      "rhs": ', _json_poly(r.rhs)]
+        if r.note:
+            parts += [',\n      "note": ', quote(r.note)]
+        parts.append("\n    }")
+        entries.append("".join(parts))
+    return ",\n".join(entries)
+
+
 def _task_report(results: list[VerificationResult], as_json: bool) -> tuple | None:
     """(identity, checked, equal, as printed, derivation form, first failure
     lines or None, JSON block or None) of one task, or None when it checked
     nothing; it runs in the worker that checked the task.  The JSON block,
-    made when ``as_json``, is the task's entries of the report's results list
-    at their place in it (no brackets, indented by 4)."""
+    made when ``as_json``, is the task's ``_json_entries``."""
     if not results:
         return None
     first = next((r for r in results if not r.equal), None)
@@ -216,10 +240,6 @@ def _task_report(results: list[VerificationResult], as_json: bool) -> tuple | No
         f"  lhs = {first.lhs}",
         f"  rhs = {first.rhs}",
     )
-    block = None
-    if as_json:
-        text = json.dumps([_result_wire(r) for r in results], indent=2)
-        block = "  " + text[2:-2].replace("\n", "\n  ")
     return (
         results[0].identity,
         len(results),
@@ -227,7 +247,7 @@ def _task_report(results: list[VerificationResult], as_json: bool) -> tuple | No
         sum(bool(r.as_printed) for r in results),
         sum(bool(r.derivation_form) for r in results),
         failure,
-        block,
+        _json_entries(results) if as_json else None,
     )
 
 

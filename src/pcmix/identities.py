@@ -831,6 +831,10 @@ ALL_IDS: tuple[str, ...] = CORE_IDS + AUDIT_IDS
 
 def _axis_value(axis: str, value, n: int):
     """The canonical value of one parameter; ParameterError outside its domain."""
+    # bool is a subclass of int, but True is no parameter value; a float or
+    # str fails here rather than as as_fraction's TypeError.
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ParameterError(f"parameter {axis!r} must be an int or Fraction, got {value!r}")
     if axis in ("k", "s", "m"):
         frac = as_fraction(value)
         if frac.denominator != 1:

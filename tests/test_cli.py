@@ -16,6 +16,8 @@ from pcmix.families import (
     poly_cauchy_first,
     poly_cauchy_second,
 )
+from pcmix.identities import ALL_IDS, DEFAULT_GRID, VerificationResult, verify_grid
+from pcmix.poly import Poly
 
 
 def run_cli(*args):
@@ -273,16 +275,16 @@ def test_verify_empty_tasks_bytes_are_pinned(monkeypatch, ids, digest):
 
 def test_verify_parent_encodes_nothing_with_workers(monkeypatch):
     # With --jobs 2 over two (k, a) groups, the workers turn results into
-    # report text; the parent only joins it, so it never calls _result_wire.
-    # At --jobs 1 the same calls run here, which shows the counter counts.
+    # report text; the parent only joins it, so it formats no result.  At
+    # --jobs 1 the same calls run here, which shows the counter counts.
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     calls = []
 
-    def counted(result, _wire=cli._result_wire):
-        calls.append(result)
-        return _wire(result)
+    def counted(results, _entries=cli._json_entries):
+        calls.extend(results)
+        return _entries(results)
 
-    monkeypatch.setattr(cli, "_result_wire", counted)
+    monkeypatch.setattr(cli, "_json_entries", counted)
     args = ("verify", "--ids", "T1,E62", "--n-max", "3", "--k", "1,2", "--a", "1",
             "--format", "json")
     outputs = {}
@@ -293,6 +295,70 @@ def test_verify_parent_encodes_nothing_with_workers(monkeypatch):
         outputs[jobs] = (result.output, len(calls))
     assert outputs["2"] == (outputs["1"][0], 0)
     assert outputs["1"][1] == json.loads(outputs["1"][0])["summary"]["checked"] == 14
+
+
+def result_wire(result):
+    # The report entry of one result as the indented json.dumps path built
+    # it: the reference the direct writer must match byte for byte.
+    def pair(c):
+        return [c.numerator, c.denominator]
+
+    def param(name, value):
+        return int(value) if name in ("k", "r", "s", "m") else str(value)
+
+    params = {
+        {"lam": "lambda"}.get(name, name): param(name, value)
+        for name, value in sorted(result.params.items())
+    }
+    out = {"id": result.identity, "n": result.n, "params": params, "equal": result.equal}
+    if result.as_printed is not None:
+        out["as_printed"] = result.as_printed
+        out["derivation_form"] = result.derivation_form
+    if result.lhs is not None:
+        out["lhs"] = [pair(c) for c in result.lhs.coeffs]
+        out["rhs"] = [pair(c) for c in result.rhs.coeffs]
+    if result.note:
+        out["note"] = result.note
+    return out
+
+
+def assert_entries_match_json_dumps(results):
+    text = json.dumps([result_wire(r) for r in results], indent=2)
+    want = "  " + text[2:-2].replace("\n", "\n  ")
+    # Compared as line lists, which pytest reports by the first differing
+    # line rather than by a full text diff.
+    assert cli._json_entries(results).split("\n") == want.split("\n")
+
+
+def test_json_entries_match_json_dumps_on_every_task():
+    tasks = verify_grid(ALL_IDS, 3, DEFAULT_GRID, encode=list)
+    assert len(tasks) == 1980
+    for results in tasks:
+        if results:
+            assert_entries_match_json_dumps(results)
+
+
+def test_json_entries_match_json_dumps_on_failures():
+    big = 2**70 + 1
+    sides = [Poly((F(-3, 7), F(big, 5), F(-(big**2)))), Poly(), Poly((F(1),))]
+    notes = [None, "", 'quote " backslash \\ newline \n end', "non-ASCII \u03bb \u2264 \U0001d4d5"]
+    params = [{}, {"k": -2, "a": F(-5, 2)}, {"a": F(3, 7), "k": 1, "m": 2},
+              {"a": F(1), "k": 0, "lam": F(5, 3), "s": 3}]
+    results = [
+        VerificationResult(
+            ident, n, dict(point), False, lhs, rhs, note, printed,
+            None if printed is None else not printed,
+        )
+        for ident in ("T7", "E77")
+        for n, point in enumerate(params)
+        for lhs, rhs in ((sides[0], sides[1]), (sides[1], sides[2]))
+        for note in notes
+        for printed in (None, True, False)
+    ]
+    results.append(VerificationResult("T1", 0, {}, True))
+    assert_entries_match_json_dumps(results)
+    for result in results:
+        assert_entries_match_json_dumps([result])
 
 
 def test_default_grid_output_bytes_are_pinned():

@@ -517,6 +517,19 @@ def test_parameter_domain_errors():
         verify_grid(("T1",), 1, SINGLETON, jobs=1.5)
     with pytest.raises(ParameterError):
         verify_grid(("T1",), 1, SINGLETON, jobs=True)
+    # Parameter values are ints or Fractions: not bool, float or str.
+    for params in (
+        {"k": True, "a": True, "s": True}, {"k": 1, "a": 1, "s": False},
+        {"k": 1.0, "a": 1, "s": 1}, {"k": 1, "a": 0.5, "s": 1}, {"k": 1, "a": "1", "s": 1},
+    ):
+        with pytest.raises(ParameterError):
+            verify("T8", 2, **params)
+    with pytest.raises(ParameterError):
+        verify("T7", 2, m=True, k=1, a=1)
+    with pytest.raises(ParameterError):
+        verify("T9", 1, k=1, a=1, s=1, lam=False)
+    with pytest.raises(ParameterError):
+        verify_grid(("T8",), 2, Grid((True,), (True,), (True,), (F(2),)))
 
 
 def count_checks(monkeypatch) -> list:
