@@ -43,7 +43,6 @@ from .special import (
 )
 from .sheffer import (
     ShefferPair,
-    apply_functional,
     connection_coefficients,
     operator_apply,
     recurrence_next,

@@ -94,10 +94,10 @@ _FAMILY_SPECS = {
         ("k", "a"),
         lambda n, p: fam.pc_hat_mixed(n, p["k"], p["a"]).coeffs,
     ),
-    "stirling1": ((), lambda n, p: tuple(Fraction(sp.stirling1(n, j)) for j in range(n + 1))),
-    "stirling2": ((), lambda n, p: tuple(Fraction(sp.stirling2(n, j)) for j in range(n + 1))),
-    "cauchy1": (("r",), lambda n, p: (sp.cauchy_first(n, p["r"]),)),
-    "cauchy2": (("r",), lambda n, p: (sp.cauchy_second(n, p["r"]),)),
+    "stirling1": ((), lambda n, p: tuple(map(Fraction, sp.stirling_rows(n)[n]))),
+    "stirling2": ((), lambda n, p: tuple(map(Fraction, sp.stirling_rows(n, True)[n]))),
+    "cauchy1": (("r",), lambda n, p: (sp.cauchy_row(n, p["r"])[n],)),
+    "cauchy2": (("r",), lambda n, p: (sp.cauchy_row(n, p["r"], True)[n],)),
 }
 
 

@@ -221,7 +221,7 @@ class _Group:
         return self._keep(("moments", hat, x0, dk), build)
 
 
-def _combine(terms: Iterable[tuple[Poly, int]], den: int = 1) -> Poly:
+def _combine(terms: Iterable[tuple[Poly, int]], den: int) -> Poly:
     # sum_i w_i p_i / den over the pairs (p_i, w_i) of integer weights,
     # accumulated as one integer list over the lcm of the terms' denominators.
     terms = list(terms)
@@ -420,8 +420,9 @@ def _check_e49(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (49) against rising factorials scaled by (-1/a)^(n-j); with
     # hat, equation (50) against falling factorials scaled by (1/a)^(n-j).
     # Both sides are polynomials in y, compared coefficient by coefficient,
-    # so the identity is proved for every y.
-    for r in range(n + 1):
+    # so the identity is proved for every y.  y^0 is skipped: S1(m, 0) = [m = 0]
+    # leaves only j = n, weight p^n over p^n, so it compares the member with itself.
+    for r in range(1, n + 1):
         sides = _y_coefficient(group, n, hat, r)
         if sides:
             return _outcome(False, *sides, note=f"first failing coefficient of y^{r}")

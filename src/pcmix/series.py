@@ -194,9 +194,8 @@ class Series:
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant scalar term."""
-        c0 = self.coeffs[0]
-        if not c0.is_constant or c0.is_zero:
-            raise NotInvertible(f"constant term {c0} is not a nonzero constant")
+        if not self.is_invertible:
+            raise NotInvertible(f"constant term {self.coeffs[0]} is not a nonzero constant")
         # With a_i the rows over den and C the inverse, C_n = c_n den / a_0^(n+1)
         # where c_0 = 1 and c_n = -sum_{i=1..n} a_i a_0^(i-1) c_(n-i).
         a, den = _over_common_denominator(self.coeffs)

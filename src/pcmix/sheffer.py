@@ -3,8 +3,8 @@
 A constant-coefficient series f acts two ways on polynomials:
 
 * as a differential operator, t acting as d/dx (``operator_apply``);
-* as a linear functional, the constant term of that operator's image
-  (``apply_functional``).
+* as a linear functional, the constant term of that operator's image,
+  read as ``operator_apply(f, p).coefficient(0)``.
 
 A Sheffer pair (g, f) with g invertible and f delta determines a unique
 polynomial sequence with generating function h(t) * exp(x*fbar(t)), where
@@ -37,15 +37,6 @@ from .series import (
 def _require_constant(f: Series, what: str) -> None:
     if not f.constant_coefficients:
         raise SeriesError(f"{what} needs a series with x-free coefficients")
-
-
-def apply_functional(f: Series, p: Poly) -> Fraction:
-    """Pair the series f, read as a linear functional, with the polynomial p.
-
-    The value is f(t) p(x) at x = 0, the sum over n of n! * [t^n] f * [x^n] p
-    (Roman, *The Umbral Calculus*); the order of f must cover the degree of p.
-    """
-    return operator_apply(f, p).coefficient(0)
 
 
 def operator_apply(f: Series, p: Poly) -> Poly:

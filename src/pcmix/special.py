@@ -140,10 +140,10 @@ def _order_row(name: str, key: tuple, base: Callable, n: int, r: int) -> list[Fr
     grow one entry at a time by J. C. P. Miller's power recurrence (Knuth,
     TAOCP vol. 2, section 4.7), over the numbers
     m v_m = sum_{j=1..m} ((r+1) j - m) C(m, j) b_j v_(m-j), which gives
-    v_m = [m == 0] at r = 0.  ``name`` names the numbers in the error for
-    n < 0 or r < 0.
+    v_m = [m == 0] at r = 0.  ``name`` names the numbers in the error, raised
+    before any table is read, for an n or r that is not an int >= 0.
     """
-    if n < 0 or r < 0:
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (n, r)):
         raise ValueError(f"{name} numbers need n >= 0 and r >= 0")
 
     def extend_base(b: list[Fraction], n: int) -> None:

@@ -391,14 +391,25 @@ def test_deep_two_group_output_bytes_are_pinned():
 
 def test_table_output_bytes_are_pinned():
     # Deep rows of a mixed family go through every series product of the
-    # generating function; the digest pins the exact coefficients and layout.
-    result = run_cli(
-        "table", "--family", "pc-mixed", "--k", "3", "--a", "2",
-        "--n-max", "40", "--format", "json",
-    )
-    assert result.exit_code == 0
-    digest = hashlib.sha256(result.output.encode()).hexdigest()
-    assert digest == "24bf51d05bab7153ca23a4492ed87642d428aa54ec98a6af57f143d548c62baf"
+    # generating function, and the number families read whole table rows;
+    # each digest pins the exact coefficients and layout.
+    pins = {
+        ("pc-mixed", "--k", "3", "--a", "2"):
+            "24bf51d05bab7153ca23a4492ed87642d428aa54ec98a6af57f143d548c62baf",
+        ("stirling1",): "f94c5877fa5f61fc02d81732ab1047853e8409abc91f22c616cab14c7a3f3c0f",
+        ("stirling2",): "420111992f521ba69178f45b3797a171b903d05cddc335b2489278168bb53178",
+        ("cauchy1", "--r", "3"):
+            "e87fb7b82e8eeb9fa762313f9961ee5f1d572228e1d5de8fc0760c860487bfe2",
+        ("cauchy2", "--r", "2"):
+            "58131f0b6928b408637beb1413ce1faf46512207c8602d258f1ab5ed37530f5f",
+    }
+    for (family, *params), expected in pins.items():
+        result = run_cli(
+            "table", "--family", family, *params, "--n-max", "40", "--format", "json",
+        )
+        assert result.exit_code == 0, family
+        digest = hashlib.sha256(result.output.encode()).hexdigest()
+        assert digest == expected, family
 
 
 def test_describe_known_and_unknown():

@@ -106,6 +106,24 @@ def test_t3_is_independent_route():
             assert verify("T3H", n, k=k, a=a).equal
 
 
+def test_t6_tail_series_is_the_printed_e54_tail():
+    # Two routes to one polynomial that read no member: d/dt Lif_k(+-log(1+t/a))
+    # brings out Lif_k', whose coefficients are 1/(m! (m+2)^k), so sign * a times
+    # the remainder-tail series at t^n/n! is the printed offset-2 Stirling triple
+    # sum of (54)/(55) at x + sign, sign = -1 for the second kind.  Hence the
+    # derivation form of T6/E60 at n is the printed form of E54 at n - 1 (E61 and
+    # E55 likewise), which is why their audit tallies coincide.
+    for k in (-2, 0, 1, 3):
+        for a in (F(1), F(3, 7), F(-5, 2), F(2)):
+            group = identities._Group(k, a, 8)
+            for hat, sign in ((False, 1), (True, -1)):
+                series = identities._mixed_tail_series(k, a, hat, 8)
+                printed = identities._stirling_triple_sum(group, hat, 2)
+                for n in range(8):
+                    tail = identities._monomial(group, n, hat, printed).shifted(sign)
+                    assert series.egf_coefficient(n) * (sign * a) == tail, (k, a, hat, n)
+
+
 def test_stirling_sum_verifiers_beyond_default_degree():
     # n = 14 lies past the default grid's n_max of 10; the point mixes a
     # negative k, a negative non-integer a, s > 1 and a lambda off the

@@ -256,6 +256,25 @@ def test_domain_errors():
                 number(n, r)
 
 
+def test_number_orders_must_be_integers(monkeypatch):
+    # A float order equals the integer key of its table, so it must be refused
+    # before any table is read or grown, or it would publish float values there.
+    monkeypatch.setattr(special, "_POWERS", {})
+    numbers = [
+        (cauchy_first, "Cauchy"),
+        (bernoulli_order, "Bernoulli"),
+        (functools.partial(frobenius_number, lam=2), "Frobenius-Euler"),
+    ]
+    for number, name in numbers:
+        for n, r in ((4, 3.0), (4.0, 3), (4, True), (True, 3)):
+            with pytest.raises(ValueError, match=f"^{name} numbers need n >= 0 and r >= 0$"):
+                number(n, r)
+    assert special._POWERS == {}
+    value = bernoulli_order(4, 3)
+    assert value == F(19, 10) and isinstance(value, F)
+    assert isinstance(cauchy_first(3, 2), F)
+
+
 def test_frobenius_number_checks_lambda_first():
     with pytest.raises(ValueError, match="lam != 1"):
         frobenius_number(-1, -1, 1)
