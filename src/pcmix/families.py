@@ -38,6 +38,15 @@ def _check_a(a: Rational) -> Fraction:
     return a
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    # bool is a subclass of int, and a float equal to an int hashes as it does,
+    # so either would read the table that int has filled.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"the {name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"the {name} must be >= {least}")
+
+
 def _check_lambda(lam: Rational) -> Fraction:
     lam = as_fraction(lam)
     if lam == 1:
@@ -75,16 +84,14 @@ def poly_cauchy_second_series(k: int, order: int) -> Series:
 
 def bernoulli_series(r: int, order: int) -> Series:
     """(t/(exp(t)-1))^r * exp(x*t)."""
-    if r < 0:
-        raise ValueError("the order r must be >= 0")
+    _check_int("order r", r, 0)
     base = (exp_series(order + 1) - one_series(order + 1)).divide_t().inverse()
     return base ** r * exp_xt(order)
 
 
 def frobenius_euler_series(r: int, lam: Rational, order: int) -> Series:
     """((1-lam)/(exp(t)-lam))^r * exp(x*t)."""
-    if r < 0:
-        raise ValueError("the order r must be >= 0")
+    _check_int("order r", r, 0)
     lam = _check_lambda(lam)
     base = (exp_series(order) - one_series(order) * lam).inverse() * (1 - lam)
     return base ** r * exp_xt(order)
@@ -109,8 +116,7 @@ _TABLES: dict[tuple, list[Poly]] = {}
 
 def _family_poly(key: tuple, builder: Callable[[int], Series], n: int) -> Poly:
     # Member n of the table under key, extracted from builder(order).
-    if n < 0:
-        raise ValueError("the family index n must be >= 0")
+    _check_int("family index n", n, 0)
 
     def extend(polys: list[Poly], n: int) -> None:
         gf = builder(max(n + 1, 2 * len(polys), 8))
@@ -127,26 +133,26 @@ def poisson_charlier(n: int, a: Rational) -> Poly:
 
 def poly_cauchy_first(n: int, k: int) -> Poly:
     """Poly-Cauchy polynomial of the first kind."""
+    _check_int("Lif index k", k)
     return _family_poly(("pc1", k), lambda o: poly_cauchy_first_series(k, o), n)
 
 
 def poly_cauchy_second(n: int, k: int) -> Poly:
     """Poly-Cauchy polynomial of the second kind."""
+    _check_int("Lif index k", k)
     return _family_poly(("pc2", k), lambda o: poly_cauchy_second_series(k, o), n)
 
 
 def bernoulli_poly(n: int, r: int) -> Poly:
     """Bernoulli polynomial of order r."""
-    if r < 0:
-        raise ValueError("the order r must be >= 0")
+    _check_int("order r", r, 0)
     return _family_poly(("bernoulli", r), lambda o: bernoulli_series(r, o), n)
 
 
 def frobenius_euler(n: int, r: int, lam: Rational) -> Poly:
     """Frobenius-Euler polynomial of order r at parameter lam."""
     lam = _check_lambda(lam)
-    if r < 0:
-        raise ValueError("the order r must be >= 0")
+    _check_int("order r", r, 0)
     return _family_poly(
         ("frobenius", r, lam), lambda o: frobenius_euler_series(r, lam, o), n
     )
@@ -155,12 +161,14 @@ def frobenius_euler(n: int, r: int, lam: Rational) -> Poly:
 def pc_mixed(n: int, k: int, a: Rational) -> Poly:
     """First-kind mixed-type polynomial of degree n (parameters k, a)."""
     a = _check_a(a)
+    _check_int("Lif index k", k)
     return _family_poly(("pc-mixed", k, a), lambda o: pc_mixed_series(k, a, o), n)
 
 
 def pc_hat_mixed(n: int, k: int, a: Rational) -> Poly:
     """Second-kind mixed-type polynomial of degree n (parameters k, a)."""
     a = _check_a(a)
+    _check_int("Lif index k", k)
     return _family_poly(
         ("pc-hat-mixed", k, a), lambda o: pc_hat_mixed_series(k, a, o), n
     )
@@ -202,8 +210,7 @@ def charlier_pair(a: Rational, order: int = DEFAULT_PAIR_ORDER) -> ShefferPair:
 
 def bernoulli_pair(r: int, order: int = DEFAULT_PAIR_ORDER) -> ShefferPair:
     """(((exp(t)-1)/t)^r, t) for the order-r Bernoulli polynomials."""
-    if r < 0:
-        raise ValueError("the order r must be >= 0")
+    _check_int("order r", r, 0)
     g = ((exp_series(order + 1) - one_series(order + 1)).divide_t()) ** r
     return ShefferPair(g, t_series(order), f"bernoulli(r={r})")
 
@@ -212,8 +219,7 @@ def frobenius_pair(
     r: int, lam: Rational, order: int = DEFAULT_PAIR_ORDER
 ) -> ShefferPair:
     """(((exp(t)-lam)/(1-lam))^r, t) for the Frobenius-Euler polynomials."""
-    if r < 0:
-        raise ValueError("the order r must be >= 0")
+    _check_int("order r", r, 0)
     lam = _check_lambda(lam)
     g = ((exp_series(order) - one_series(order) * lam) * (1 / (1 - lam))) ** r
     return ShefferPair(g, t_series(order), f"frobenius-euler(r={r}, lambda={lam})")

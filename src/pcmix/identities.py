@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import families as fam
 from .poly import Poly, Rational, X, as_fraction, from_parts
-from .series import Series, binomial_pow, exp_neg_series
+from .series import Series
 from .sheffer import operator_apply
 from .special import bernoulli_row, cauchy_row, frobenius_row, lif_series, stirling_rows
 
@@ -129,13 +129,11 @@ class _Group:
             p.shifted(-1 if hat else 1) for p in self.members(hat, dk)
         ])
 
-    def tails(self, hat: bool) -> list[Poly]:
-        # Remainder coefficients 0..top-2 (T6 at n reads n-1), from one series.
-        def build():
-            series = _mixed_tail_series(self.k, self.a, hat, self.top - 1)
-            return [series.egf_coefficient(n) for n in range(series.order)]
-
-        return self._keep(("tails", hat), build)
+    def tail(self, hat: bool, n: int) -> Poly:
+        # The printed (54)/(55) closing sum at x + sign, sign = -1 for hat: the
+        # offset-2 Stirling triple sum, which reads no member.
+        return self._keep(("tail", hat, n), lambda: _monomial(
+            self, n, hat, _stirling_triple_sum(self, hat, 2)).shifted(-1 if hat else 1))
 
     def values(self, hat: bool, x0: int, dk: int = 0) -> tuple[list[int], int]:
         # P(x0) per member over one denominator (the same for all x0).
@@ -269,14 +267,6 @@ def _monomial(group: _Group, n: int, hat: bool, expansion: tuple[list[int], int]
         for i, c in enumerate(group.s1[j]):
             acc[i] += (c if hat else abs(c)) * w * e[n - j]
     return from_parts(acc, group.a.numerator**n * den)
-
-
-def _mixed_tail_series(k: int, a: Fraction, hat: bool, order: int) -> Series:
-    # exp(-t) * d/dt[Lif_k(+-log(1+t/a))] * (1+t/a)^(-+x), upper signs for the
-    # first kind: the product-rule remainder term in the derivative-functional
-    # split of the mixed generating function.
-    power = binomial_pow(a, X if hat else -X, order)
-    return exp_neg_series(order) * fam.lif_log(k, a, hat, order + 1).derivative() * power
 
 
 # -- outcome helpers ----------------------------------------------------------
@@ -515,10 +505,9 @@ def _check_e54(group: _Group, n: int, *, hat: bool) -> dict:
     # as printed and the Lif-ratio operator on P_n(x + sign) in derivation form.
     sign, remainder = -1 if hat else 1, group.remainders(hat)[n + 1]
     scaled = remainder * (sign * group.a)
-    tail = _monomial(group, n, hat, _stirling_triple_sum(group, hat, 2)).shifted(sign)
     split = operator_apply(group.lif_ratio(), group.shifted(hat)[n])
     member = group.members(hat)[n + 1]
-    return _audited(scaled == tail, scaled == split,
+    return _audited(scaled == group.tail(hat, n), scaled == split,
                     lambda: (member, member - remainder + split * (Fraction(sign) / group.a)))
 
 
@@ -528,7 +517,8 @@ def _check_t6(group: _Group, n: int, *, hat: bool, shift: bool = False) -> dict:
     # As printed, (62)'s first difference term carries the fixed index n-1
     # where (60) has n-l; its derivation form restores n-l.  Both forms are
     # compared with the kept remainder D_n = P_n - head_n; the printed sum
-    # (1/n) sum_l C(n, l) C_l a^-l (lower - upper) reads the kept gaps.
+    # (1/n) sum_l C(n, l) C_l a^-l (lower - upper) reads the kept gaps.  The
+    # other derivation forms are E54/E55's printed tail at n-1 over sign a.
     rows = group.shifted if shift else group.members
     p, q = group.a.numerator, group.a.denominator
     cauchy, den = group.numbers(cauchy_row, 1, not shift)
@@ -544,8 +534,8 @@ def _check_t6(group: _Group, n: int, *, hat: bool, shift: bool = False) -> dict:
             ])[n:0:-1], weights)
         return _combine(terms, den * p**n * n)
 
-    remainder, e62 = group.remainders(hat)[n], hat and shift
-    tail = stated(False) if e62 else group.tails(hat)[n - 1]
+    remainder, e62, step = group.remainders(hat)[n], hat and shift, (-1 if hat else 1) / group.a
+    tail = stated(False) if e62 else group.tail(hat, n - 1) * step
     member = group.members(hat)[n]
     return _audited(remainder == stated(e62), remainder == tail,
                     lambda: (member, member - remainder + tail))
@@ -775,9 +765,9 @@ CATALOGUE: dict[str, IdentityInfo] = {
             "T6", "audit", ("k", "a"), 1, "Theorem 6",
             "first-kind mixed polynomials via second-kind Cauchy numbers and "
             "a Lif-index shift",
-            "printed sum checked as stated; derivation form recomputes the "
-            "remainder term directly from the derivative of the generating "
-            "function",
+            "printed sum checked as stated; derivation form compares the "
+            "remainder term with the closing Stirling sum of (54) one degree "
+            "down, which reads no member",
             partial(_check_t6, hat=False),
         ),
         IdentityInfo(
@@ -790,8 +780,8 @@ CATALOGUE: dict[str, IdentityInfo] = {
         IdentityInfo(
             "E61", "audit", ("k", "a"), 1, "equation (61)",
             "second-kind analogue of T6",
-            "printed sum checked as stated; derivation form recomputes the "
-            "remainder from the derivative of the generating function",
+            "printed sum checked as stated; derivation form compares the "
+            "remainder with the closing Stirling sum of (55) one degree down",
             partial(_check_t6, hat=True),
         ),
         IdentityInfo(

@@ -102,7 +102,7 @@ def test_route_equivalence_sample():
             assert hat_pair.polynomial(n) == pc_hat_mixed(n, k, a)
 
 
-def test_parameter_validation():
+def test_parameter_validation(monkeypatch):
     with pytest.raises(ValueError):
         poisson_charlier(2, 0)
     with pytest.raises(ValueError):
@@ -115,6 +115,19 @@ def test_parameter_validation():
         pc_mixed(-1, 1, 1)
     with pytest.raises(TypeError):
         pc_mixed(2, 1, 0.5)
+    # A float or bool n, k or r fails before any table is read, both on empty
+    # tables and on tables the equal integer has filled.
+    monkeypatch.setattr(families, "_TABLES", {})
+    calls = (lambda: pc_mixed(2, 1.0, F(2)), lambda: bernoulli_poly(2, 1.0),
+             lambda: pc_mixed(2, True, F(2)), lambda: pc_mixed(True, 1, F(2)))
+    for warm in (False, True):
+        if warm:
+            pc_mixed(2, 1, F(2))
+            bernoulli_poly(2, 1)
+        for call in calls:
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+        assert len(families._TABLES) == 2 * warm
 
 
 @pytest.mark.parametrize("build", [

@@ -33,8 +33,8 @@ from pcmix.identities import (
     verify,
     verify_grid,
 )
-from pcmix.poly import Poly
-from pcmix.series import exp_neg_series, exp_series
+from pcmix.poly import Poly, X
+from pcmix.series import Series, binomial_pow, exp_neg_series, exp_series
 from pcmix.sheffer import connection_coefficients, operator_apply
 
 SINGLETON = Grid(
@@ -106,30 +106,40 @@ def test_t3_is_independent_route():
             assert verify("T3H", n, k=k, a=a).equal
 
 
+def _mixed_tail_series(k, a, hat, order):
+    # exp(-t) * d/dt[Lif_k(+-log(1+t/a))] * (1+t/a)^(-+x), upper signs for the
+    # first kind: the product-rule remainder term in the derivative-functional
+    # split of the mixed generating function, built by the series kernel.
+    power = binomial_pow(a, X if hat else -X, order)
+    return exp_neg_series(order) * families.lif_log(k, a, hat, order + 1).derivative() * power
+
+
 def test_t6_tail_series_is_the_printed_e54_tail():
     # Two routes to one polynomial that read no member: d/dt Lif_k(+-log(1+t/a))
     # brings out Lif_k', whose coefficients are 1/(m! (m+2)^k), so sign * a times
     # the remainder-tail series at t^n/n! is the printed offset-2 Stirling triple
     # sum of (54)/(55) at x + sign, sign = -1 for the second kind.  Hence the
     # derivation form of T6/E60 at n is the printed form of E54 at n - 1 (E61 and
-    # E55 likewise), which is why their audit tallies coincide.
+    # E55 likewise), which is why their audit tallies coincide, and why the
+    # checkers read that sum, kept by the group, as the derivation-form tail.
     for k in (-2, 0, 1, 3):
         for a in (F(1), F(3, 7), F(-5, 2), F(2)):
             group = identities._Group(k, a, 8)
             for hat, sign in ((False, 1), (True, -1)):
-                series = identities._mixed_tail_series(k, a, hat, 8)
+                series = _mixed_tail_series(k, a, hat, 8)
                 printed = identities._stirling_triple_sum(group, hat, 2)
                 for n in range(8):
                     tail = identities._monomial(group, n, hat, printed).shifted(sign)
                     assert series.egf_coefficient(n) * (sign * a) == tail, (k, a, hat, n)
+                    assert group.tail(hat, n) == tail, (k, a, hat, n)
 
 
 def test_stirling_sum_verifiers_beyond_default_degree():
     # n = 14 lies past the default grid's n_max of 10; the point mixes a
     # negative k, a negative non-integer a, s > 1 and a lambda off the
-    # integers.  T7/E67 at m = n reach the empty lowered moment.  The T6,
-    # E60 and E61 remainder is read off one series per check, so n = 9, 10
-    # and 17 read its coefficients 8, 9 and 16 at orders 9, 10 and 17.
+    # integers.  T7/E67 at m = n reach the empty lowered moment.  T6, E60
+    # and E61 at n = 9, 10 and 17 compare with the printed E54/E55 tail at
+    # n - 1 = 8, 9 and 16.
     point = {"k": -2, "a": F(-5, 2)}
     with_s = {**point, "s": 2}
     cases = [(ident, 14, point) for ident in ("T3", "T3H", "T4", "E41", "E54", "E55")]
@@ -190,6 +200,19 @@ def test_right_sides_read_their_inputs(monkeypatch):
             patch.setattr(identities, name, perturbed)
         for ident in ("T5", "E48", "T8", "E74", "T9", "E77"):
             assert not verify(ident, 6, cases[ident]).equal, ident
+
+    # +1 at [t^3] of Lif_k in the members' generating functions only: the
+    # T6/E60/E61 derivation form compares the remainder with a Stirling sum
+    # that reads no member, so it must fail once the members move.
+    with monkeypatch.context() as patch:
+        def perturbed(k, order, _series=families.lif_series):
+            return _series(k, order) + Series([int(j == 3) for j in range(order)], order)
+
+        patch.setattr(families, "_TABLES", {})
+        patch.setattr(families, "lif_series", perturbed)
+        for ident in ("T6", "E60", "E61"):
+            for n in range(4, 7):
+                assert verify(ident, n, point).derivation_form is False, (ident, n)
 
     # T5 and E48 read no family member but the left side.
     lower = SimpleNamespace(
@@ -316,7 +339,7 @@ def _fraction_sides(ident, n, k, a, member, appell) -> dict:
                 return [h + c for h, c in zip(head, total(terms))]
 
             printed = stated(ident == "E62")
-            tail = cs(identities._mixed_tail_series(k, a, hat, n).egf_coefficient(n - 1))
+            tail = cs(_mixed_tail_series(k, a, hat, n).egf_coefficient(n - 1))
             derived = stated(False) if ident == "E62" else [h + c for h, c in zip(head, tail)]
         as_printed, derivation = lhs == printed, lhs == derived
         fields.update(note=_AUDIT_NOTES[as_printed, derivation], as_printed=as_printed,

@@ -7,8 +7,10 @@
   product-form generating functions expanded by ``rs_log``, ``rs_exp`` and
   ``rs_mul``, with Lif_k summed from powers of its argument; pcmix builds
   them through its own series kernel and composition.
-* The remainder series of Theorem 6 (``identities._mixed_tail_series``)
-  against the same factors, with the Lif factor differentiated by sympy.
+* The printed (54)/(55) closing Stirling sum (``identities._Group.tail``),
+  which T6/E60/E61 read as their derivation-form remainder, against the
+  Theorem 6 remainder series built from the same factors, with the Lif
+  factor differentiated by sympy.
 
 Both sides are exact over Q, so the coefficients must agree one by one.
 """
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from pcmix import families as fam
 from pcmix.families import catalogue_pairs
-from pcmix.identities import _mixed_tail_series
+from pcmix.identities import _Group
 from pcmix.series import Series
 
 sympy = pytest.importorskip("sympy", reason="the series oracle needs sympy")
@@ -143,11 +145,12 @@ def test_families_match_sympy_generating_functions(family, k, a):
 @pytest.mark.parametrize("k, a", [(k, a) for k in (-1, 2) for a in A_VALUES], ids=str)
 def test_mixed_tail_matches_sympy(hat, k, a):
     # exp(-t) d/dt[Lif_k(+-log(1 + t/a))] (1 + t/a)^(-+x), upper signs for
-    # the first kind; the derivative is exact below t^(GF_ORDER - 1).
+    # the first kind; the derivative is exact below t^(GF_ORDER - 1).  Its
+    # t^n/n! coefficient is the kept tail at n over sign a, sign = -1 for hat.
     log, binomial = log_and_binomial(a)
     lif_prime = lif(k, -log if hat else log).diff(gt)
     power = binomial if hat else negate_x(binomial)
     expected = gf_members((rs_exp(-gt, gt, GF_ORDER), lif_prime, power))
-    series = _mixed_tail_series(k, a, hat, GF_ORDER - 1)
-    for n in range(series.order):
-        assert list(series.egf_coefficient(n).coeffs) == expected[n], (hat, k, a, n)
+    group, step = _Group(k, a, GF_ORDER - 1), (-1 if hat else 1) / a
+    for n in range(GF_ORDER - 1):
+        assert list((group.tail(hat, n) * step).coeffs) == expected[n], (hat, k, a, n)
