@@ -95,8 +95,13 @@ DEFAULT_GRID = Grid(
 # (-1)^m S1(r, m) are the coefficients of (-y)_r = (-1)^r y^(r), so there
 # the same steps run in the rising basis x^(j), with N_e read as (-1)^e N_e
 # and (-1)^j in the weights.  A check compares the member's coefficients in
-# that basis (read through S2) with the n+1 terms by cross-multiplying.
+# that basis (read through S2) with the n+1 terms by cross-multiplying;
+# the group keeps the member's side of that comparison once per degree.
 # T7/E67 keep their Stirling-sum moments as integer tables the same way.
+#
+# The same factorial tables serve (49)-(52): rising and falling factorials
+# are of binomial type, so the argument-addition rules compare slice by
+# slice in b_i(x) b_r(y), and the unit shifts (51)/(52) are the slice r = 1.
 
 
 class _Group:
@@ -251,13 +256,19 @@ def _bernoulli_below(top: int, n: int) -> list[Fraction]:
 
 def _expanded(group: _Group, n: int, hat: bool, expansion: tuple[list[int], int]) -> dict:
     # The member against sum_j C(n, j) (-+q)^j e_(n-j) b_j(x) / (p^n den), term
-    # by term: b_j is the rising x^(j) (upper sign) for the first kind, else (x)_j.
-    (e, den), (g, d) = expansion, group.factorial(hat, not hat)[n]
-    weights = group.binomial(1, group.a.denominator * (1 if hat else -1))[n]
-    scale = group.a.numerator**n * den
-    equal = all(c * scale == d * w * x for c, w, x in zip(g, weights, e[n::-1]))
-    rhs = None if equal else _monomial(group, n, hat, expansion)
-    return _outcome(equal, group.members(hat)[n], rhs)
+    # by term: b_j is the rising x^(j) (upper sign) for the first kind, else
+    # (x)_j.  Per degree the group keeps the member's coefficients g over d,
+    # the weights d C(n, j) (-+q)^j and p^n, so a check only cross-multiplies.
+    def build():
+        p, table = group.a.numerator, group.factorial(hat, not hat)
+        weights = group.binomial(1, group.a.denominator * (1 if hat else -1))
+        return [(g, [d * w for w in row], p**m) for m, ((g, d), row) in enumerate(zip(table, weights))]
+
+    (e, den), (g, weights, p_n) = expansion, group._keep(("expanded", hat), build)[n]
+    scale = p_n * den
+    if all(c * scale == w * x for c, w, x in zip(g, weights, e[n::-1])):
+        return _outcome(True, None, None)
+    return _outcome(False, group.members(hat)[n], _monomial(group, n, hat, expansion))
 
 
 def _monomial(group: _Group, n: int, hat: bool, expansion: tuple[list[int], int]) -> Poly:
@@ -406,29 +417,55 @@ def _y_coefficient(group: _Group, n: int, hat: bool, r: int) -> Optional[tuple[P
     return None if lhs == rhs else (lhs, rhs)
 
 
+def _slices_hold(group: _Group, n: int, hat: bool, r_top: int) -> bool:
+    # Rising (first kind) and falling factorials b_m are of binomial type,
+    # b_m(x + y) = sum_i C(m, i) b_i(x) b_(m-i)(y) (Roman, The Umbral
+    # Calculus, chapter 2).  With P_n = sum_i g_i b_i / d_n read through S2,
+    # the b_i(x) b_r(y) slice of (49), or of (50) with hat, is
+    # C(i+r, i) g^(n)_(i+r) / d_n = C(n, r) (-+1/a)^r g^(n-r)_i / d_(n-r),
+    # cross-multiplied for a = p/q; this checks r = 1..r_top.  Over every r
+    # the products b_i(x) b_r(y) are a basis of Q[x, y]; r = 0 compares the
+    # member with itself.
+    table, p = group.factorial(hat, not hat), group.a.numerator
+    (g, d), weights = table[n], group.binomial(1, group.a.denominator * (1 if hat else -1))[n]
+    for r in range(1, r_top + 1):
+        lower, lower_den = table[n - r]
+        left, right = p**r * lower_den, weights[r] * d
+        if any(comb(i + r, r) * g[i + r] * left != right * c for i, c in enumerate(lower)):
+            return False
+    return True
+
+
 def _check_e49(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (49) against rising factorials scaled by (-1/a)^(n-j); with
     # hat, equation (50) against falling factorials scaled by (1/a)^(n-j).
-    # Both sides are polynomials in y, compared coefficient by coefficient,
-    # so the identity is proved for every y.  y^0 is skipped: S1(m, 0) = [m = 0]
-    # leaves only j = n, weight p^n over p^n, so it compares the member with itself.
-    for r in range(1, n + 1):
-        sides = _y_coefficient(group, n, hat, r)
-        if sides:
-            return _outcome(False, *sides, note=f"first failing coefficient of y^{r}")
+    # Both sides are polynomials in x and y, compared coefficient by
+    # coefficient in the factorial slices of _slices_hold, so the identity is
+    # proved for every y.  A mismatch is reported at the first failing
+    # monomial y^r, r >= 1: S1(m, 0) = [m = 0] leaves y^0 comparing the
+    # member with itself.
+    if not _slices_hold(group, n, hat, n):
+        for r in range(1, n + 1):
+            sides = _y_coefficient(group, n, hat, r)
+            if sides:
+                return _outcome(False, *sides, note=f"first failing coefficient of y^{r}")
     return _outcome(True, None, None)
 
 
 def _check_e51(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (51) with the backward shift exp(-t); with hat, equation (52)
     # with the forward shift exp(t).  exp(c t) p(x) = p(x + c), so the left
-    # side is the member at x - 1 (x + 1) less the member.
+    # side is the member at x - 1 (x + 1) less the member.  As
+    # x^(j) - (x-1)^(j) = j x^(j-1) and (x+1)_j - (x)_j = j (x)_(j-1), that
+    # is the r = 1 slice of (49) or (50); the sides are built on a mismatch.
+    note = ("checked with both difference terms in the second-kind family; the "
+            "printed statement drops a hat on the subtracted term") if hat else None
+    if _slices_hold(group, n, hat, 1):
+        return _outcome(True, None, None, note=note)
     members, p, q = group.members(hat), group.a.numerator, group.a.denominator
     lhs = members[n].shifted(1 if hat else -1) - members[n]
     rhs = from_parts([n * q * c for c in members[n - 1].nums], members[n - 1].den * p)
-    note = ("checked with both difference terms in the second-kind family; the "
-            "printed statement drops a hat on the subtracted term")
-    return _plain(lhs, rhs, note if hat else None)
+    return _plain(lhs, rhs, note)
 
 
 def _check_e68(group: _Group, n: int, *, hat: bool) -> dict:
@@ -666,31 +703,35 @@ CATALOGUE: dict[str, IdentityInfo] = {
         IdentityInfo(
             "E49", "core", ("k", "a"), 0, "equation (49)",
             "argument-addition rule against scaled rising factorials",
-            "two-variable identity; both sides are expanded in the shift "
-            "variable y and compared coefficient by coefficient, which "
-            "proves it for every y",
+            "two-variable identity; both sides are expanded in the products "
+            "x^(i) y^(r) of rising factorials, a basis of Q[x, y], and "
+            "compared coefficient by coefficient, which proves it for every y; "
+            "a mismatch is reported at the first failing power of y",
             partial(_check_e49, hat=False),
         ),
         IdentityInfo(
             "E50", "core", ("k", "a"), 0, "equation (50)",
             "argument-addition rule against scaled falling factorials",
             "two-variable identity; compared coefficient by coefficient in "
-            "the shift variable y, as E49",
+            "the products (x)_i (y)_r of falling factorials, as E49",
             partial(_check_e49, hat=True),
         ),
         IdentityInfo(
             "E51", "core", ("k", "a"), 1, "equation (51)",
             "unit backward shift lowers the first-kind mixed polynomials",
             "left side is the member at x-1, the image of the shift operator "
-            "exp(-t), less the member; right side a scaled lower-degree member",
+            "exp(-t), less the member; right side a scaled lower-degree member; "
+            "compared in rising factorials, where the backward difference of "
+            "x^(j) is j x^(j-1)",
             partial(_check_e51, hat=False),
         ),
         IdentityInfo(
             "E52", "core", ("k", "a"), 1, "equation (52)",
             "unit forward shift lowers the second-kind mixed polynomials",
             "left side is the member at x+1, the image of the shift operator "
-            "exp(t), less the member; the printed statement drops a hat on the "
-            "subtracted term, checked in the consistent all-second-kind form",
+            "exp(t), less the member, compared in falling factorials; the "
+            "printed statement drops a hat on the subtracted term, checked in "
+            "the consistent all-second-kind form",
             partial(_check_e51, hat=True),
         ),
         IdentityInfo(

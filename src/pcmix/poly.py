@@ -214,8 +214,23 @@ class Poly:
         return from_parts(acc, self.den * (epow // e))
 
     def shifted(self, offset: Rational) -> "Poly":
-        """p(x + offset)."""
-        return self.compose(Poly((offset, 1)))
+        """p(x + offset), by an integer Taylor shift.
+
+        With offset = u/v and degree d, v^d p(x + u/v) is Q(v x + u) for
+        Q(y) = sum nums[j] v^(d-j) y^j; Ruffini's scheme shifts Q by u in
+        integers, and coefficient j of the result then carries v^j.
+        """
+        f, nums = as_fraction(offset), list(self.nums)
+        u, v, d = f.numerator, f.denominator, max(len(nums) - 1, 0)
+        if v != 1:
+            nums = [c * v ** (d - j) for j, c in enumerate(nums)]
+        if u:
+            for i in range(d):
+                for j in range(d - 1, i - 1, -1):
+                    nums[j] += u * nums[j + 1]
+        if v != 1:
+            nums = [c * v**j for j, c in enumerate(nums)]
+        return from_parts(nums, self.den * v**d)
 
     def derivative(self) -> "Poly":
         return from_parts([i * c for i, c in enumerate(self.nums) if i], self.den)

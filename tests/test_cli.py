@@ -375,12 +375,15 @@ def test_deep_two_group_output_bytes_are_pinned():
     # the Appell expansions (T3, T4, T5, T8, T9, E77) carry their largest
     # denominators: two groups up to degree 16, with a k = -1 group whose
     # k-1 members sit at k = -2, and one group up to degree 24.  The
-    # recurrence family runs once more at the --n-max ceiling.
+    # recurrence family, and the argument-addition, shift and derivative
+    # identities, run once more at the --n-max ceiling.
     pins = {
         ("all", "16", "3,-1"): "c0ee1701b12990eae2caef480d18a87d85c0f6e460d7319ef65f0297336a7437",
         ("all", "24", "3"): "a3b8055f860f99b6912856a00639f24c3334dbab25dc33fd7af0371e3d8a85dc",
         ("T6,E60,E61,E62,E54,E55", "40", "3"):
             "a55f1a172c0d4424c7efa815cb2140a19dea77f353f54c0c975b625dd4ac79c0",
+        ("E49,E50,E51,E52,E68,E69", "40", "3"):
+            "ef48b1cb5d9cc30a6d585765f66fe10e62c2a59c8cefd756dcf206b04e767a29",
     }
     for (ids, n_max, ks), expected in pins.items():
         result = run_cli(

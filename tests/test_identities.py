@@ -1,9 +1,11 @@
 import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import multiprocessing
+import operator
 from fractions import Fraction as F
 from math import comb, factorial, perm
 from types import SimpleNamespace
@@ -160,7 +162,7 @@ def test_stirling_sum_verifiers_beyond_default_degree():
 def test_bernoulli_expansions_beyond_default_degree():
     # k = 3 scales the Appell numbers (e+1)^-k by lcm(1..n+1)^3, and an odd n
     # with a = -5/2 puts an odd power of a negative numerator in the
-    # denominator.  E49/E50 compare every power of y up to y^n.
+    # denominator.  E49/E50 compare every factorial slice b_i(x) b_r(y), r <= n.
     cases = [(ident, n) for ident in ("T5", "E48") for n in (13, 24)]
     cases += [(ident, n) for ident in ("E49", "E50") for n in (14, 24)]
     for ident, n in cases:
@@ -471,6 +473,86 @@ def test_members_round_trip_through_the_factorial_bases():
                             for j, c in enumerate(coeffs) if j >= i) for i in range(n + 1)]
                 assert Poly(back) == member == (pc_hat_mixed if hat else pc_mixed)(n, k, a)
                 assert len(coeffs) == n + 1, (k, a, hat, rising, n)
+
+
+def _monomial_e49_e51(ident, n, k, a, member) -> dict:
+    # The result of E49-E52 by the monomial routes: the first failing y^r
+    # coefficient of _y_coefficient, or the member at x -+ 1 less the member
+    # against n/a times the member one degree down.
+    hat = ident in ("E50", "E52")
+    if ident in ("E49", "E50"):
+        group = identities._Group(k, a, n + 1)
+        for r in range(1, n + 1):
+            sides = identities._y_coefficient(group, n, hat, r)
+            if sides:
+                return {"equal": False, "lhs": sides[0], "rhs": sides[1],
+                        "note": f"first failing coefficient of y^{r}"}
+        return {"equal": True, "lhs": None, "rhs": None, "note": None}
+    lhs = member[hat](n, k, a).shifted(1 if hat else -1) - member[hat](n, k, a)
+    rhs = member[hat](n - 1, k, a) * (F(n) / a)
+    note = ("checked with both difference terms in the second-kind family; the "
+            "printed statement drops a hat on the subtracted term") if hat else None
+    equal = lhs == rhs
+    return {"equal": equal, "lhs": None if equal else lhs, "rhs": None if equal else rhs,
+            "note": note}
+
+
+def test_factorial_slices_fail_where_the_monomial_routes_fail(monkeypatch):
+    # E49-E52 compare in the rising (first kind) or falling factorial basis
+    # and rebuild their sides in monomials only on a mismatch.  P_2 + 1 moves
+    # the j = 2 term of (49)/(50) for n >= 3 and E51/E52's right side at
+    # n = 3; x^(2) (first kind) or (x)_2 on P_5 moves every slice reading
+    # member 5, from n = 5 on, and E51/E52 at n = 5 and 6.  x^(5) or (x)_5
+    # moves only P_5's leading factorial coefficient.
+    k, a = 2, F(3, 7)
+
+    def rising(m, step=1):  # x (x + step) ... (x + (m-1) step)
+        return functools.reduce(operator.mul, (X + step * i for i in range(m)), Poly((1,)))
+
+    def falling(m):
+        return rising(m, -1)
+
+    plants = {
+        "lower": (lambda n: int(n == 2), lambda n: int(n == 2)),
+        "factorial": (lambda n: rising(2) if n == 5 else 0, lambda n: falling(2) if n == 5 else 0),
+        "leading": (lambda n: rising(5) if n == 5 else 0, lambda n: falling(5) if n == 5 else 0),
+    }
+    from_five = {"E49": range(5, 9), "E50": range(5, 9), "E51": {5, 6}, "E52": {5, 6}}
+    failing = {
+        "lower": {"E49": range(3, 9), "E50": range(3, 9), "E51": {3}, "E52": {3}},
+        "factorial": from_five,
+        "leading": from_five,
+    }
+    for plant, (first, second) in plants.items():
+        with monkeypatch.context() as patch:
+            member = {False: lambda n, k, a: pc_mixed(n, k, a) + first(n),
+                      True: lambda n, k, a: pc_hat_mixed(n, k, a) + second(n)}
+            patch.setattr(identities, "fam", SimpleNamespace(
+                pc_mixed=member[False], pc_hat_mixed=member[True]))
+            for ident in ("E49", "E50", "E51", "E52"):
+                failed = set()
+                for n in range(CATALOGUE[ident].n_min, 9):
+                    result = verify(ident, n, k=k, a=a)
+                    expected = _monomial_e49_e51(ident, n, k, a, member)
+                    assert {name: getattr(result, name) for name in expected} == expected, (
+                        plant, ident, n)
+                    if not result.equal:
+                        failed.add(n)
+                assert failed == set(failing[plant][ident]), (plant, ident)
+
+    # On the default grid both routes agree at every (k, a), kind and n.
+    for k, a in itertools.product(identities.DEFAULT_GRID.k_values,
+                                  identities.DEFAULT_GRID.a_values):
+        group = identities._Group(k, a, 13)
+        for hat, n in itertools.product((False, True), range(13)):
+            by_y = all(identities._y_coefficient(group, n, hat, r) is None
+                       for r in range(1, n + 1))
+            assert identities._slices_hold(group, n, hat, n) == by_y, (k, a, hat, n)
+            if n:
+                members = group.members(hat)
+                by_shift = (members[n].shifted(1 if hat else -1) - members[n]
+                            == members[n - 1] * (F(n) / a))
+                assert identities._slices_hold(group, n, hat, 1) == by_shift, (k, a, hat, n)
 
 
 def test_audit_statuses():

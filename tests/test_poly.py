@@ -39,6 +39,31 @@ def test_evaluation_and_compose():
     assert (X ** 2).compose(X + F(1, 2)) == X ** 2 + X + F(1, 4)
 
 
+def test_taylor_shift_cases():
+    # shifted runs its own integer kernel, apart from compose: the zero
+    # polynomial, constants, offset 0, negative offsets and offsets whose
+    # denominators reach 10^12, each result in canonical form.
+    p = Poly((F(1, 3), -2, 0, F(5, 7)))
+    cases = [
+        (Poly(), 5, Poly()),
+        (Poly(), F(-3, 10 ** 12), Poly()),
+        (Poly((F(-4, 9),)), F(7, 2), Poly((F(-4, 9),))),
+        (p, 0, p),
+        (p, F(0, 5), p),
+        (X ** 2, -1, X ** 2 - 2 * X + 1),
+        (X ** 3, F(-1, 2), X ** 3 - F(3, 2) * X ** 2 + F(3, 4) * X - F(1, 8)),
+    ]
+    for offset in (1, -1, -7, F(1, 10 ** 12), F(-999_999_999_999, 10 ** 12), F(3, 10 ** 12 - 1)):
+        cases.append((p, offset, p.compose(Poly((offset, 1)))))
+    for poly, offset, expected in cases:
+        shifted = poly.shifted(offset)
+        assert_canonical(shifted)
+        assert shifted == expected, (poly, offset)
+        assert shifted.shifted(-offset) == poly, (poly, offset)
+    with pytest.raises(TypeError):
+        p.shifted(0.5)
+
+
 def test_derivative_and_divide_x():
     p = X ** 3 + 5 * X
     assert p.derivative() == 3 * X ** 2 + 5
@@ -159,7 +184,8 @@ def test_equal_values_have_one_representation(a, s):
     p = Poly(a)
     rescaled = (p * s) * (1 / s)
     piecewise = sum((Poly([F(0)] * j + [c]) for j, c in enumerate(a)), Poly())
-    for other in (rescaled, piecewise):
+    there_and_back = p.shifted(s).shifted(-s)
+    for other in (rescaled, piecewise, there_and_back):
         assert other == p and hash(other) == hash(p)
         assert (other.nums, other.den) == (p.nums, p.den)
 

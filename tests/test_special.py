@@ -12,6 +12,7 @@ from pcmix.poly import Poly, X
 from pcmix.series import exp_series, log1p_scaled, one_series, t_series
 from pcmix.special import (
     bernoulli_order,
+    bernoulli_row,
     cauchy_first,
     cauchy_second,
     falling_poly,
@@ -181,6 +182,19 @@ def test_bernoulli_order_against_series_power():
         gf = base ** r
         for n in range(13):
             assert bernoulli_order(n, r) == gf.egf_coefficient(n)
+
+
+def test_bernoulli_orders_follow_norlund_recurrence():
+    # Nörlund, Vorlesungen über Differenzenrechnung (1924): across orders,
+    # B_m^(k+1) = (1 - m/k) B_m^(k) - m B_(m-1)^(k).  It steps the order, not
+    # the index, so it checks the higher orders apart from Miller's recurrence
+    # that builds them.
+    rows = {k: bernoulli_row(30, k) for k in range(1, 31)}
+    for k in range(1, 30):
+        assert rows[k + 1][0] == rows[k][0] == 1, k
+        for m in range(1, 31):
+            expected = (1 - F(m, k)) * rows[k][m] - m * rows[k][m - 1]
+            assert rows[k + 1][m] == expected, (k, m)
 
 
 def test_frobenius_number_against_series():
