@@ -101,6 +101,14 @@ _FAMILY_SPECS = {
 }
 
 
+def _exact_output() -> None:
+    # Lifts 3.10.7+'s int-to-str digit cap after parsing, until the context closes.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit:
+        click.get_current_context().call_on_close(partial(sys.set_int_max_str_digits, limit()))
+        sys.set_int_max_str_digits(0)
+
+
 @click.group()
 def main():
     """Exact tables and identity verification for the mixed-type polynomial catalogue."""
@@ -119,6 +127,7 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def table(family, a, k, r, lam, n_max, fmt):
     """Emit exact coefficient rows for one family, lowest degree first."""
+    _exact_output()
     needed, producer = _FAMILY_SPECS[family]
     given = {"a": a, "k": k, "r": r, "lambda": lam}
     params = {}
@@ -265,6 +274,7 @@ def _task_report(results: list[VerificationResult], as_json: bool) -> tuple | No
 )
 def verify_command(ids, n_max, a_values, k_values, s_values, lam_values, fmt, jobs):
     """Run identity verification over a parameter grid; exact, zero tolerance."""
+    _exact_output()
     id_list = _resolve_ids(ids)
     ceiling = _usable_cpus()
     if jobs is None:

@@ -81,7 +81,8 @@ DEFAULT_GRID = Grid(
 # sequence is one row read over its least common denominator), compared by
 # cross-multiplying or Poly equality, and built as the sides a result
 # reports only on a mismatch.  T6, (54)-(55) and (60)-(62) compare with the
-# kept remainders D_n = P_n - head_n of their recurrence for the same reason.
+# kept remainders D_n = P_n - head_n of their recurrence for the same reason,
+# and the group keeps the (54)/(55) tail over sign a, so they compare it as is.
 #
 # T3/T3H, T4/E41 (and so T10/T10H), T8/E74, T9, E77 and the printed E54/E55
 # tail are Appell expansions sum_m c_m A_m(x), A_m(x) = sum_j C(m, j) N_(m-j)
@@ -96,7 +97,7 @@ DEFAULT_GRID = Grid(
 # the same steps run in the rising basis x^(j), with N_e read as (-1)^e N_e
 # and (-1)^j in the weights.  A check compares the member's coefficients in
 # that basis (read through S2) with the n+1 terms by cross-multiplying;
-# the group keeps the member's side of that comparison once per degree.
+# one table per kind keeps the member's side of that comparison per degree.
 # T7/E67 keep their Stirling-sum moments as integer tables the same way.
 #
 # The same factorial tables serve (49)-(52): rising and falling factorials
@@ -128,17 +129,18 @@ class _Group:
             lookup(n, self.k + dk, self.a) for n in range(self.top, -1, -1)
         ][::-1])
 
-    def shifted(self, hat: bool, dk: int = 0) -> list[Poly]:
-        # The argument moves by +1 for the first kind and by -1 for the second.
-        return self._keep(("shifted", hat, dk), lambda: [
-            p.shifted(-1 if hat else 1) for p in self.members(hat, dk)
+    def shifted(self, hat: bool) -> list[Poly]:
+        # The members at k at x + 1 for the first kind and at x - 1 for the second.
+        return self._keep(("shifted", hat), lambda: [
+            p.shifted(-1 if hat else 1) for p in self.members(hat)
         ])
 
     def tail(self, hat: bool, n: int) -> Poly:
-        # The printed (54)/(55) closing sum at x + sign, sign = -1 for hat: the
-        # offset-2 Stirling triple sum, which reads no member.
+        # The printed (54)/(55) closing sum at x + sign over sign a, sign = -1
+        # for hat: the offset-2 Stirling triple sum, which reads no member.
+        sign = -1 if hat else 1
         return self._keep(("tail", hat, n), lambda: _monomial(
-            self, n, hat, _stirling_triple_sum(self, hat, 2)).shifted(-1 if hat else 1))
+            self, n, hat, _stirling_triple_sum(self, hat, 2)).shifted(sign) * (sign / self.a))
 
     def values(self, hat: bool, x0: int, dk: int = 0) -> tuple[list[int], int]:
         # P(x0) per member over one denominator (the same for all x0).
@@ -179,14 +181,18 @@ class _Group:
 
         return self._keep(("numbers", row, args), build)
 
-    def factorial(self, hat: bool, rising: bool) -> list[tuple[list[int], int]]:
-        # Each member's coefficients over its denominator in the falling basis,
-        # x^i = sum_j S2(i, j) (x)_j, or in the rising one, with (-1)^(i-j).
-        return self._keep(("factorial", hat, rising), lambda: [
-            ([sum((-1) ** (rising * (i - j)) * self.s2[i][j] * c
-                  for i, c in enumerate(p.nums[j:], j)) for j in range(n + 1)], p.den)
-            for n, p in enumerate(self.members(hat))
-        ])
+    def factorial(self, hat: bool) -> list[tuple[list[int], list[int], int]]:
+        # Per member P_n = sum_j g_j b_j(x) / d through S2, b_j the rising x^(j)
+        # for the first kind (x^i = sum_j (-1)^(i-j) S2(i, j) x^(j)), else (x)_j:
+        # g, the weights d C(n, j) (-+q)^j for a = p/q (entry 0 is d) and p^n.
+        def build():
+            p, q, rising = self.a.numerator, self.a.denominator * (1 if hat else -1), not hat
+            return [([sum((-1) ** (rising * (i - j)) * self.s2[i][j] * c
+                          for i, c in enumerate(m.nums[j:], j)) for j in range(n + 1)],
+                     [m.den * comb(n, j) * q**j for j in range(n + 1)], p**n)
+                    for n, m in enumerate(self.members(hat))]
+
+        return self._keep(("factorial", hat), build)
 
     def binomial(self, u: int, v: int) -> list[list[int]]:
         # Rows r = 0..top of C(r, l) u^(r-l) v^l.  With (u, v) = (q, p) for
@@ -256,15 +262,9 @@ def _bernoulli_below(top: int, n: int) -> list[Fraction]:
 
 def _expanded(group: _Group, n: int, hat: bool, expansion: tuple[list[int], int]) -> dict:
     # The member against sum_j C(n, j) (-+q)^j e_(n-j) b_j(x) / (p^n den), term
-    # by term: b_j is the rising x^(j) (upper sign) for the first kind, else
-    # (x)_j.  Per degree the group keeps the member's coefficients g over d,
-    # the weights d C(n, j) (-+q)^j and p^n, so a check only cross-multiplies.
-    def build():
-        p, table = group.a.numerator, group.factorial(hat, not hat)
-        weights = group.binomial(1, group.a.denominator * (1 if hat else -1))
-        return [(g, [d * w for w in row], p**m) for m, ((g, d), row) in enumerate(zip(table, weights))]
-
-    (e, den), (g, weights, p_n) = expansion, group._keep(("expanded", hat), build)[n]
+    # by term: b_j is rising (upper sign) for the first kind, else falling, and
+    # the group's factorial table holds the member's side of each term.
+    (e, den), (g, weights, p_n) = expansion, group.factorial(hat)[n]
     scale = p_n * den
     if all(c * scale == w * x for c, w, x in zip(g, weights, e[n::-1])):
         return _outcome(True, None, None)
@@ -297,22 +297,20 @@ def _plain(lhs: Poly, rhs: Poly, note: str | None = None) -> dict:
     return _outcome(lhs == rhs, lhs, rhs, note=note)
 
 
-def _audited(as_printed: bool, derivation: bool, sides: Callable[[], tuple[Poly, Poly]]) -> dict:
+_AUDIT_NOTES = {
+    (True, True): "holds as printed and in derivation form",
+    (False, True): "printed form fails; derivation form holds",
+    (True, False): "holds as printed; derivation form fails",
+    (False, False): "both forms fail",
+}
+
+
+def _audited(as_printed: bool, derivation: bool, sides: Callable, note: str | None = None) -> dict:
     # sides() gives the left side and the derivation form, built only when
-    # both forms fail.
-    if as_printed and derivation:
-        note = "holds as printed and in derivation form"
-    elif derivation:
-        note = "printed form fails; derivation form holds"
-    elif as_printed:
-        note = "holds as printed; derivation form fails"
-    else:
-        note = "both forms fail"
+    # both forms fail; without ``note`` the note says which forms hold.
     equal = as_printed or derivation
-    return _outcome(
-        equal, *((None, None) if equal else sides()),
-        note=note, as_printed=as_printed, derivation_form=derivation,
-    )
+    return _outcome(equal, *((None, None) if equal else sides()), as_printed=as_printed,
+                    derivation_form=derivation, note=note or _AUDIT_NOTES[as_printed, derivation])
 
 
 # -- core verifiers -----------------------------------------------------------
@@ -423,14 +421,14 @@ def _slices_hold(group: _Group, n: int, hat: bool, r_top: int) -> bool:
     # Calculus, chapter 2).  With P_n = sum_i g_i b_i / d_n read through S2,
     # the b_i(x) b_r(y) slice of (49), or of (50) with hat, is
     # C(i+r, i) g^(n)_(i+r) / d_n = C(n, r) (-+1/a)^r g^(n-r)_i / d_(n-r),
-    # cross-multiplied for a = p/q; this checks r = 1..r_top.  Over every r
-    # the products b_i(x) b_r(y) are a basis of Q[x, y]; r = 0 compares the
-    # member with itself.
-    table, p = group.factorial(hat, not hat), group.a.numerator
-    (g, d), weights = table[n], group.binomial(1, group.a.denominator * (1 if hat else -1))[n]
+    # cross-multiplied for a = p/q with the table's weights (entry 0 is d);
+    # this checks r = 1..r_top.  Over every r the products b_i(x) b_r(y) are
+    # a basis of Q[x, y]; r = 0 compares the member with itself.
+    table, p = group.factorial(hat), group.a.numerator
+    g, weights, _ = table[n]
     for r in range(1, r_top + 1):
-        lower, lower_den = table[n - r]
-        left, right = p**r * lower_den, weights[r] * d
+        lower, lower_weights, _ = table[n - r]
+        left, right = p**r * lower_weights[0], weights[r]
         if any(comb(i + r, r) * g[i + r] * left != right * c for i, c in enumerate(lower)):
             return False
     return True
@@ -538,14 +536,14 @@ def _check_e77(group: _Group, n: int, s: int, lam: Fraction) -> dict:
 def _check_e54(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (54); with hat, equation (55).  The printed closing sum is a
     # triple sum in the (x+1) or (x-1) power basis with the Lif index shifted
-    # by one.  With sign = -1 for hat, sign a D_(n+1) is that sum at x + sign
-    # as printed and the Lif-ratio operator on P_n(x + sign) in derivation form.
-    sign, remainder = -1 if hat else 1, group.remainders(hat)[n + 1]
-    scaled = remainder * (sign * group.a)
-    split = operator_apply(group.lif_ratio(), group.shifted(hat)[n])
-    member = group.members(hat)[n + 1]
-    return _audited(scaled == group.tail(hat, n), scaled == split,
-                    lambda: (member, member - remainder + split * (Fraction(sign) / group.a)))
+    # by one.  With sign = -1 for hat, D_(n+1) is that sum at x + sign (the
+    # kept tail) as printed and the Lif-ratio operator on P_n(x + sign) in
+    # derivation form, each over sign a.
+    remainder, member = group.remainders(hat)[n + 1], group.members(hat)[n + 1]
+    step = (-1 if hat else 1) / group.a
+    split = operator_apply(group.lif_ratio(), group.shifted(hat)[n]) * step
+    return _audited(remainder == group.tail(hat, n), remainder == split,
+                    lambda: (member, member - remainder + split))
 
 
 def _check_t6(group: _Group, n: int, *, hat: bool, shift: bool = False) -> dict:
@@ -554,25 +552,25 @@ def _check_t6(group: _Group, n: int, *, hat: bool, shift: bool = False) -> dict:
     # As printed, (62)'s first difference term carries the fixed index n-1
     # where (60) has n-l; its derivation form restores n-l.  Both forms are
     # compared with the kept remainder D_n = P_n - head_n; the printed sum
-    # (1/n) sum_l C(n, l) C_l a^-l (lower - upper) reads the kept gaps.  The
-    # other derivation forms are E54/E55's printed tail at n-1 over sign a.
-    rows = group.shifted if shift else group.members
-    p, q = group.a.numerator, group.a.denominator
+    # (1/n) sum_l C(n, l) C_l a^-l (lower - upper) reads the kept unshifted gaps;
+    # (60)/(62) shift it once.  The other derivation forms read E54's tail at n-1.
+    members, p, q = group.members, group.a.numerator, group.a.denominator
     cauchy, den = group.numbers(cauchy_row, 1, not shift)
     weights = [w * c for w, c in zip(group.binomial(p, q)[n], cauchy[:n])]
 
     def stated(fixed: bool) -> Poly:
         if fixed:
-            terms = [(rows(hat, -1)[n - 1], sum(weights))]
-            terms += [(upper, -w) for upper, w in zip(rows(hat)[n:0:-1], weights)]
+            terms = [(members(hat, -1)[n - 1], sum(weights))]
+            terms += [(upper, -w) for upper, w in zip(members(hat)[n:0:-1], weights)]
         else:
-            terms = zip(group._keep(("gaps", hat, shift), lambda: [
-                lower - upper for lower, upper in zip(rows(hat, -1), rows(hat))
+            terms = zip(group._keep(("gaps", hat), lambda: [
+                lower - upper for lower, upper in zip(members(hat, -1), members(hat))
             ])[n:0:-1], weights)
-        return _combine(terms, den * p**n * n)
+        total = _combine(terms, den * p**n * n)
+        return total.shifted(-1 if hat else 1) if shift else total
 
-    remainder, e62, step = group.remainders(hat)[n], hat and shift, (-1 if hat else 1) / group.a
-    tail = stated(False) if e62 else group.tail(hat, n - 1) * step
+    remainder, e62 = group.remainders(hat)[n], hat and shift
+    tail = stated(False) if e62 else group.tail(hat, n - 1)
     member = group.members(hat)[n]
     return _audited(remainder == stated(e62), remainder == tail,
                     lambda: (member, member - remainder + tail))
@@ -594,24 +592,20 @@ def _check_t7(group: _Group, n: int, m: int, *, hat: bool) -> dict:
     def holds(last: int, last_den: int) -> bool:  # direct + lowered == (m-1)/m edge_k + last/m
         return both * m * last_den == q * ((m - 1) * edge_k * last_den + last * d)
 
+    def sides() -> tuple[Poly, Poly]:
+        scale = Fraction(factorial(m), p**n * d)
+        chained = Fraction(q * ((m - 1) * edge_k * d1 + edge_km1 * d), m * d1) - lowered
+        return Poly((scale * rows[n][m],)), Poly((scale * chained,))
+
     derivation = holds(edge_km1, d1)
     # For the second kind the printed final statement repeats superscript k
     # in the 1/m term where the derivation chain has k-1.
     as_printed = holds(edge_k, d) if hat else derivation
-    lhs = rhs = None
-    if not (derivation or as_printed):
-        scale = Fraction(factorial(m), p**n * d)
-        chained = Fraction(q * ((m - 1) * edge_k * d1 + edge_km1 * d), m * d1) - lowered
-        lhs, rhs = Poly((scale * rows[n][m],)), Poly((scale * chained,))
     note = "two-route functional value"
     if hat:
-        note += "; the chained evaluation is authoritative" + (
-            "" if as_printed else "; printed closing statement fails"
-        )
-    return _outcome(
-        derivation or as_printed, lhs, rhs,
-        note=note, as_printed=as_printed, derivation_form=derivation,
-    )
+        note += "; the chained evaluation is authoritative"
+        note += "" if as_printed else "; printed closing statement fails"
+    return _audited(as_printed, derivation, sides, note)
 
 
 # -- catalogue ----------------------------------------------------------------

@@ -1,5 +1,9 @@
+import contextlib
+import dataclasses
 import hashlib
 import json
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +20,7 @@ from pcmix.families import (
     poly_cauchy_first,
     poly_cauchy_second,
 )
-from pcmix.identities import ALL_IDS, DEFAULT_GRID, VerificationResult, verify_grid
+from pcmix.identities import ALL_IDS, CATALOGUE, DEFAULT_GRID, VerificationResult, verify_grid
 from pcmix.poly import Poly
 
 
@@ -375,8 +379,9 @@ def test_deep_two_group_output_bytes_are_pinned():
     # the Appell expansions (T3, T4, T5, T8, T9, E77) carry their largest
     # denominators: two groups up to degree 16, with a k = -1 group whose
     # k-1 members sit at k = -2, and one group up to degree 24.  The
-    # recurrence family, and the argument-addition, shift and derivative
-    # identities, run once more at the --n-max ceiling.
+    # recurrence family, the argument-addition, shift and derivative
+    # identities, and the identities on the factorial tables and T7/E67,
+    # run once more at the --n-max ceiling.
     pins = {
         ("all", "16", "3,-1"): "c0ee1701b12990eae2caef480d18a87d85c0f6e460d7319ef65f0297336a7437",
         ("all", "24", "3"): "a3b8055f860f99b6912856a00639f24c3334dbab25dc33fd7af0371e3d8a85dc",
@@ -384,6 +389,8 @@ def test_deep_two_group_output_bytes_are_pinned():
             "a55f1a172c0d4424c7efa815cb2140a19dea77f353f54c0c975b625dd4ac79c0",
         ("E49,E50,E51,E52,E68,E69", "40", "3"):
             "ef48b1cb5d9cc30a6d585765f66fe10e62c2a59c8cefd756dcf206b04e767a29",
+        ("T3,T3H,T4,E41,T8,E74,T9,E77,T10,T10H,T7,E67", "40", "3"):
+            "8a5193e388ae3902f64cb9c1693f7d8e31c0d272c17e842d4f23bd3853cde136",
     }
     for (ids, n_max, ks), expected in pins.items():
         result = run_cli(
@@ -416,6 +423,72 @@ def test_table_output_bytes_are_pinned():
         assert result.exit_code == 0, family
         digest = hashlib.sha256(result.output.encode()).hexdigest()
         assert digest == expected, family
+
+
+def _digit_limit():
+    # The interpreter's int-to-str digit cap; 0 is none, as before 3.10.7.
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    # Reads numbers of any size back from the CLI's output here.
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_table_prints_numbers_past_the_int_digit_limit():
+    # poly-cauchy-1 at k = 1000 has coefficients of more than 4,300 digits,
+    # the default int-to-str cap: both formats print them in full and exit
+    # 0, and the cap is as it was afterwards.  An over-long --k literal
+    # still fails as a usage error, since the cap is lifted after parsing.
+    limit = _digit_limit()
+    args = ("table", "--family", "poly-cauchy-1", "--k", "1000", "--n-max", "10")
+    as_json, as_csv = run_cli(*args), run_cli(*args, "--format", "csv")
+    assert (as_json.exit_code, as_csv.exit_code) == (0, 0)
+    assert _digit_limit() == limit
+    assert max(map(len, re.split("[,/\n]", as_csv.output))) > 4300
+    if 0 < limit < 4400:
+        long_k = run_cli("table", "--family", "poly-cauchy-1", "--k", "1" * 4400, "--n-max", "1")
+        assert long_k.exit_code == 2 and "--k" in long_k.output
+    with _no_digit_limit():
+        expected = [list(poly_cauchy_first(n, 1000).coeffs) for n in range(11)]
+        rows = json.loads(as_json.output)["rows"]
+        assert [[F(*c) for c in row["coeffs"]] for row in rows] == expected
+        lines = [",".join(map(str, [n, *coeffs])) for n, coeffs in enumerate(expected)]
+        assert as_csv.output.splitlines() == lines
+
+
+def test_verify_counterexample_prints_numbers_past_the_int_digit_limit(monkeypatch):
+    # A mismatch with a 5,000-digit coefficient on each side is a
+    # counterexample (exit 1), reported in full by both formats whether the
+    # report is written here or in two workers; the cap is as it was after.
+    big = 10**4999
+    sides = {"equal": False, "lhs": Poly((big,)), "rhs": Poly((big + 1,))}
+    info = dataclasses.replace(CATALOGUE["T1"], checker=lambda group, n: sides)
+    monkeypatch.setitem(CATALOGUE, "T1", info)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    limit, digits = _digit_limit(), "1" + "0" * 4998
+    for fmt in ("text", "json"):
+        for jobs in ("1", "2"):
+            result = run_cli("verify", "--ids", "T1", "--n-max", "0", "--k", "1,2", "--a", "1",
+                             "--format", fmt, "--jobs", jobs)
+            assert result.exit_code == 1, (fmt, jobs)
+            assert _digit_limit() == limit
+            if fmt == "text":
+                assert f"  lhs = {digits}0\n  rhs = {digits}1\n" in result.output, jobs
+                continue
+            with _no_digit_limit():
+                report = json.loads(result.output)
+                assert report["summary"] == {"checked": 2, "failed": 2}
+                for entry in report["results"]:
+                    assert (entry["lhs"], entry["rhs"]) == ([[big, 1]], [[big + 1, 1]]), jobs
 
 
 def test_describe_known_and_unknown():

@@ -37,7 +37,7 @@ from pcmix.identities import (
 )
 from pcmix.poly import Poly, X
 from pcmix.series import Series, binomial_pow, exp_neg_series, exp_series
-from pcmix.sheffer import connection_coefficients, operator_apply
+from pcmix.sheffer import connection_coefficients, operator_apply, recurrence_next
 
 SINGLETON = Grid(
     a_values=(F(1),), k_values=(1,), s_values=(1,), lam_values=(F(2),)
@@ -123,7 +123,8 @@ def test_t6_tail_series_is_the_printed_e54_tail():
     # sum of (54)/(55) at x + sign, sign = -1 for the second kind.  Hence the
     # derivation form of T6/E60 at n is the printed form of E54 at n - 1 (E61 and
     # E55 likewise), which is why their audit tallies coincide, and why the
-    # checkers read that sum, kept by the group, as the derivation-form tail.
+    # checkers read that sum over sign * a, kept by the group, as the
+    # derivation-form tail.
     for k in (-2, 0, 1, 3):
         for a in (F(1), F(3, 7), F(-5, 2), F(2)):
             group = identities._Group(k, a, 8)
@@ -133,7 +134,7 @@ def test_t6_tail_series_is_the_printed_e54_tail():
                 for n in range(8):
                     tail = identities._monomial(group, n, hat, printed).shifted(sign)
                     assert series.egf_coefficient(n) * (sign * a) == tail, (k, a, hat, n)
-                    assert group.tail(hat, n) == tail, (k, a, hat, n)
+                    assert group.tail(hat, n) * (sign * a) == tail, (k, a, hat, n)
 
 
 def test_stirling_sum_verifiers_beyond_default_degree():
@@ -448,6 +449,26 @@ def test_mismatch_reports_the_printed_right_side(monkeypatch):
     assert all(failures[ident] for ident in weighted), failures
 
 
+def test_e54_derivation_side_is_the_sheffer_recurrence(monkeypatch):
+    # The derivation form of (54)/(55) is the operator recurrence of the
+    # mixed Sheffer pair, split into the head and the Lif-ratio operator.
+    # With P_2 wrong, E54/E55 fail at n = 1 and 2, and the reported right
+    # side must be s_(n+1) = (x - g'(t)/g(t)) (1/f'(t)) s_n on the faulty
+    # P_n, from the pair's own series rather than from that split.
+    member, failing = _lower_member_fault(monkeypatch), 0
+    for k, a in itertools.product((-1, 2), (F(3, 7), F(-5, 2))):
+        pairs = {False: mixed_pair(k, a, 12), True: mixed_hat_pair(k, a, 12)}
+        for ident, hat in (("E54", False), ("E55", True)):
+            for n in range(1, 11):
+                result = verify(ident, n, k=k, a=a)
+                if not result.equal:
+                    failing += 1
+                    expected = recurrence_next(pairs[hat], member[hat](n, k, a))
+                    assert result.rhs == expected, (ident, k, a, n)
+                    assert result.lhs == member[hat](n + 1, k, a), (ident, k, a, n)
+    assert failing == 16
+
+
 def test_kept_tables_live_per_group(monkeypatch):
     # A group keeps what its checks build, and verify_grid builds one group
     # per (k, a) on every call: a fault planted after a clean sweep in the
@@ -461,18 +482,25 @@ def test_kept_tables_live_per_group(monkeypatch):
 
 
 def test_members_round_trip_through_the_factorial_bases():
-    # Each member taken to the falling or the rising basis through S2 and
-    # back through S1 (|S1| for the rising basis) is unchanged.
+    # Each member taken to its kind's basis through S2, the rising one for
+    # the first kind and the falling one for the second, and back through S1
+    # (|S1| for the rising basis) is unchanged.  The kept weights are
+    # d C(n, j) (-+q)^j for a = p/q, upper sign first kind, beside p^n.
     for k, a in itertools.product((-2, 3), (F(3, 7), F(-5, 2))):
         group = identities._Group(k, a, 12)
-        for hat, rising in itertools.product((False, True), repeat=2):
-            table = group.factorial(hat, rising)
+        p, q = a.numerator, a.denominator
+        for hat in (False, True):
+            rising, table = not hat, group.factorial(hat)
             for n, member in enumerate(group.members(hat)):
-                coeffs, den = table[n]
+                coeffs, weights, p_n = table[n]
+                den = weights[0]
                 back = [sum(F(c, den) * (abs if rising else int)(special.stirling1(j, i))
                             for j, c in enumerate(coeffs) if j >= i) for i in range(n + 1)]
                 assert Poly(back) == member == (pc_hat_mixed if hat else pc_mixed)(n, k, a)
-                assert len(coeffs) == n + 1, (k, a, hat, rising, n)
+                assert len(coeffs) == n + 1, (k, a, hat, n)
+                assert weights == [den * comb(n, j) * (q if hat else -q) ** j
+                                   for j in range(n + 1)], (k, a, hat, n)
+                assert p_n == p**n, (k, a, hat, n)
 
 
 def _monomial_e49_e51(ident, n, k, a, member) -> dict:

@@ -146,11 +146,12 @@ def test_families_match_sympy_generating_functions(family, k, a):
 def test_mixed_tail_matches_sympy(hat, k, a):
     # exp(-t) d/dt[Lif_k(+-log(1 + t/a))] (1 + t/a)^(-+x), upper signs for
     # the first kind; the derivative is exact below t^(GF_ORDER - 1).  Its
-    # t^n/n! coefficient is the kept tail at n over sign a, sign = -1 for hat.
+    # t^n/n! coefficient is the kept tail at n: the printed (54)/(55) closing
+    # sum at x + sign over sign a, sign = -1 for hat.
     log, binomial = log_and_binomial(a)
     lif_prime = lif(k, -log if hat else log).diff(gt)
     power = binomial if hat else negate_x(binomial)
     expected = gf_members((rs_exp(-gt, gt, GF_ORDER), lif_prime, power))
-    group, step = _Group(k, a, GF_ORDER - 1), (-1 if hat else 1) / a
+    group = _Group(k, a, GF_ORDER - 1)
     for n in range(GF_ORDER - 1):
-        assert list((group.tail(hat, n) * step).coeffs) == expected[n], (hat, k, a, n)
+        assert list(group.tail(hat, n).coeffs) == expected[n], (hat, k, a, n)
