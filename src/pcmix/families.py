@@ -111,7 +111,7 @@ def pc_hat_mixed_series(k: int, a: Rational, order: int) -> Series:
 
 # -- cached extraction -------------------------------------------------------
 
-_TABLES: dict[tuple, list[Poly]] = {}
+_TABLES: dict[tuple, tuple[Poly, ...]] = {}
 
 
 def _family_poly(key: tuple, builder: Callable[[int], Series], n: int) -> Poly:

@@ -80,9 +80,9 @@ DEFAULT_GRID = Grid(
 # stated denominator (for a = p/q, a^-l is q^l p^(n-l) over p^n; a number
 # sequence is one row read over its least common denominator), compared by
 # cross-multiplying or Poly equality, and built as the sides a result
-# reports only on a mismatch.  T6, (54)-(55) and (60)-(62) compare with the
-# kept remainders D_n = P_n - head_n of their recurrence for the same reason,
-# and the group keeps the (54)/(55) tail over sign a, so they compare it as is.
+# reports only on a mismatch.  T6, (54)-(55) and (60)-(62) read the remainder
+# D_n = P_n - head_n of their Sheffer recurrence, its shifted member and the
+# (54)/(55) tail over sign a from one kept table per kind for the same reason.
 #
 # T3/T3H, T4/E41 (and so T10/T10H), T8/E74, T9, E77 and the printed E54/E55
 # tail are Appell expansions sum_m c_m A_m(x), A_m(x) = sum_j C(m, j) N_(m-j)
@@ -129,19 +129,6 @@ class _Group:
             lookup(n, self.k + dk, self.a) for n in range(self.top, -1, -1)
         ][::-1])
 
-    def shifted(self, hat: bool) -> list[Poly]:
-        # The members at k at x + 1 for the first kind and at x - 1 for the second.
-        return self._keep(("shifted", hat), lambda: [
-            p.shifted(-1 if hat else 1) for p in self.members(hat)
-        ])
-
-    def tail(self, hat: bool, n: int) -> Poly:
-        # The printed (54)/(55) closing sum at x + sign over sign a, sign = -1
-        # for hat: the offset-2 Stirling triple sum, which reads no member.
-        sign = -1 if hat else 1
-        return self._keep(("tail", hat, n), lambda: _monomial(
-            self, n, hat, _stirling_triple_sum(self, hat, 2)).shifted(sign) * (sign / self.a))
-
     def values(self, hat: bool, x0: int, dk: int = 0) -> tuple[list[int], int]:
         # P(x0) per member over one denominator (the same for all x0).
         return self._keep(("values", hat, dk, x0), lambda: _values(self.members(hat, dk), x0))
@@ -152,15 +139,21 @@ class _Group:
         return self._keep(("poly-Cauchy", hat),
                           lambda: [lookup(l, self.k) for l in range(self.top, -1, -1)][::-1])
 
-    def remainders(self, hat: bool) -> list[Optional[Poly]]:
-        # D_n = P_n - head_n, n = 1..top: the head -P_(n-1)(x) -+ (x/a)
-        # P_(n-1)(x+-1) of T6, (54)-(55) and (60)-(62), upper signs first kind.
+    def recurrence(self, hat: bool) -> list[Optional[tuple[Poly, Poly, Poly]]]:
+        # Entry n = 1..top for T6, (54)-(55) and (60)-(62), sign = -1 for hat:
+        # D_n = P_n - head_n, head_n = -P_(n-1)(x) - sign (x/a) P_(n-1)(x + sign);
+        # that P_(n-1)(x + sign); the printed (54)/(55) closing sum of degree
+        # n-1 at x + sign over sign a (the offset-2 Stirling sum: no member).
         def build():
-            step, members = Fraction(-1 if hat else 1) / self.a, self.members(hat)
-            return [None] + [p + lower + X * shifted * step for p, lower, shifted
-                             in zip(members[1:], members, self.shifted(hat))]
+            sign, members, entries = -1 if hat else 1, self.members(hat), [None]
+            step, sums = Fraction(sign) / self.a, _stirling_triple_sum(self, hat, 2)
+            for n, (p, lower) in enumerate(zip(members[1:], members)):
+                shifted = lower.shifted(sign)
+                tail = _monomial(self, n, hat, sums).shifted(sign) * step
+                entries.append((p + lower + X * shifted * step, shifted, tail))
+            return entries
 
-        return self._keep(("remainders", hat), build)
+        return self._keep(("recurrence", hat), build)
 
     def lif_ratio(self) -> Series:
         # Lif_k'(-t) / Lif_k(-t), from the operator recurrence; one order serves
@@ -537,12 +530,11 @@ def _check_e54(group: _Group, n: int, *, hat: bool) -> dict:
     # Equation (54); with hat, equation (55).  The printed closing sum is a
     # triple sum in the (x+1) or (x-1) power basis with the Lif index shifted
     # by one.  With sign = -1 for hat, D_(n+1) is that sum at x + sign (the
-    # kept tail) as printed and the Lif-ratio operator on P_n(x + sign) in
-    # derivation form, each over sign a.
-    remainder, member = group.remainders(hat)[n + 1], group.members(hat)[n + 1]
-    step = (-1 if hat else 1) / group.a
-    split = operator_apply(group.lif_ratio(), group.shifted(hat)[n]) * step
-    return _audited(remainder == group.tail(hat, n), remainder == split,
+    # tail of recurrence entry n+1) as printed, and in derivation form the
+    # Lif-ratio operator on that entry's P_n(x + sign); each is over sign a.
+    (remainder, shifted, tail), member = group.recurrence(hat)[n + 1], group.members(hat)[n + 1]
+    split = operator_apply(group.lif_ratio(), shifted) * ((-1 if hat else 1) / group.a)
+    return _audited(remainder == tail, remainder == split,
                     lambda: (member, member - remainder + split))
 
 
@@ -551,9 +543,9 @@ def _check_t6(group: _Group, n: int, *, hat: bool, shift: bool = False) -> dict:
     # with hat too, equation (62): shifted members, first-kind Cauchy numbers.
     # As printed, (62)'s first difference term carries the fixed index n-1
     # where (60) has n-l; its derivation form restores n-l.  Both forms are
-    # compared with the kept remainder D_n = P_n - head_n; the printed sum
+    # compared with the remainder D_n of recurrence entry n; the printed sum
     # (1/n) sum_l C(n, l) C_l a^-l (lower - upper) reads the kept unshifted gaps;
-    # (60)/(62) shift it once.  The other derivation forms read E54's tail at n-1.
+    # (60)/(62) shift it once.  The other derivation forms read the entry's tail.
     members, p, q = group.members, group.a.numerator, group.a.denominator
     cauchy, den = group.numbers(cauchy_row, 1, not shift)
     weights = [w * c for w, c in zip(group.binomial(p, q)[n], cauchy[:n])]
@@ -569,8 +561,8 @@ def _check_t6(group: _Group, n: int, *, hat: bool, shift: bool = False) -> dict:
         total = _combine(terms, den * p**n * n)
         return total.shifted(-1 if hat else 1) if shift else total
 
-    remainder, e62 = group.remainders(hat)[n], hat and shift
-    tail = stated(False) if e62 else group.tail(hat, n - 1)
+    (remainder, _, tail), e62 = group.recurrence(hat)[n], hat and shift
+    tail = stated(False) if e62 else tail
     member = group.members(hat)[n]
     return _audited(remainder == stated(e62), remainder == tail,
                     lambda: (member, member - remainder + tail))

@@ -7,7 +7,7 @@ any order by J. C. P. Miller's power recurrence.  That makes these values
 usable as oracles against generating-function extraction, and the identity
 verifiers build their right-hand sides from this module only.
 
-Every shared table in pcmix is a list grown through ``grown``, the one place
+Every shared table in pcmix is a tuple grown through ``grown``, the one place
 that holds the concurrency argument: the Stirling rows and the convolution
 powers here, the family members in ``families``.  Each value has one cache:
 the factorial polynomials are first-kind Stirling rows, the base values read
@@ -29,48 +29,49 @@ from .series import Series
 _GROW_LOCK = threading.RLock()
 
 
-def grown(store: dict, key: Hashable, n: int, extend: Callable[[list, int], None]) -> list:
-    """The list published under ``key`` in ``store``, grown to cover index n.
+def grown(store: dict, key: Hashable, n: int, extend: Callable[[list, int], None]) -> tuple:
+    """The tuple published under ``key`` in ``store``, grown to cover index n.
 
     Reads take no lock.  Growth is serialised by one lock and starts from the
-    list published last: ``extend(values, n)`` appends to a copy of it until
-    index n exists, and the copy is published with one assignment.  A reader
-    therefore sees the old list or the grown one, never a half-grown one, and
-    no thread replaces a list with a shorter one.  The lock is reentrant
-    because extending one table may grow another (a power table reads
-    Stirling rows); ``extend`` must not grow its own key.
+    tuple published last: ``extend(values, n)`` appends to a list copy of it
+    until index n exists, and the copy is published as a tuple with one
+    assignment.  A reader sees the old tuple or the grown one, never a
+    half-grown or shorter one, and cannot write into either.  The lock is
+    reentrant because extending one table may grow another (a power table
+    reads Stirling rows); ``extend`` must not grow its own key.
     """
     values = store.get(key, ())
     if len(values) > n:
         return values
     with _GROW_LOCK:
-        values = list(store.get(key, ()))
+        values = store.get(key, ())
         if len(values) <= n:
-            extend(values, n)
-            store[key] = values
+            grow = list(values)
+            extend(grow, n)
+            store[key] = values = tuple(grow)
     return values
 
 
-_STIRLING: dict[bool, list[list[int]]] = {}
+_STIRLING: dict[bool, tuple[tuple[int, ...], ...]] = {}
 
 
-def _extend_stirling(second: bool, rows: list[list[int]], n: int) -> None:
+def _extend_stirling(second: bool, rows: list[tuple[int, ...]], n: int) -> None:
     # Row m+1 from row m: S(m+1, j) = S(m, j-1) - m S(m, j) for the signed
     # first kind and S(m, j-1) + j S(m, j) for the second.
     if not rows:
-        rows.append([1])
+        rows.append((1,))
     while len(rows) <= n:
         m = len(rows) - 1
-        prev = rows[-1] + [0]
-        rows.append([
+        prev = rows[-1] + (0,)
+        rows.append(tuple(
             (prev[j - 1] if j else 0) + (j if second else -m) * prev[j] for j in range(m + 2)
-        ])
+        ))
 
 
-def stirling_rows(n: int, second: bool = False) -> list[list[int]]:
+def stirling_rows(n: int, second: bool = False) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n at least of the signed first kind, or of the second kind.
 
-    The rows are the table published last; callers never change them.
+    The rows are the tuple of tuples published last.
     """
     return grown(_STIRLING, second, n, partial(_extend_stirling, second))
 
@@ -107,7 +108,7 @@ def rising_poly(n: int) -> Poly:
 
 # -- numbers of the powers of exponential series -----------------------------
 
-_POWERS: dict[tuple, list[Fraction]] = {}
+_POWERS: dict[tuple, tuple[Fraction, ...]] = {}
 
 
 def _stirling_transform(n: int, second: bool, weight: Callable[[int], Fraction]) -> Fraction:
@@ -131,11 +132,11 @@ def _bernoulli_base(n: int) -> Fraction:
     return _stirling_transform(n, True, lambda l: Fraction((-1) ** l * factorial(l), l + 1))
 
 
-def _order_row(name: str, key: tuple, base: Callable, n: int, r: int) -> list[Fraction]:
+def _order_row(name: str, key: tuple, base: Callable, n: int, r: int) -> tuple[Fraction, ...]:
     """Entries 0..n at least of v_m = m! [t^m] (sum_m b_m t^m / m!)^r,
-    b_m = base(m), as the list published last; callers never change it.
+    b_m = base(m), as the tuple published last.
 
-    Every base here starts with b_0 = 1.  Each (key, r) has one list; the list
+    Every base here starts with b_0 = 1.  Each (key, r) has one tuple; the one
     for r = 1 holds the base values, so each is computed once.  The others
     grow one entry at a time by J. C. P. Miller's power recurrence (Knuth,
     TAOCP vol. 2, section 4.7), over the numbers
@@ -158,7 +159,7 @@ def _order_row(name: str, key: tuple, base: Callable, n: int, r: int) -> list[Fr
     return grown(_POWERS, (key, r), n, extend_base if r == 1 else extend_power)
 
 
-def cauchy_row(n: int, r: int, second: bool = False) -> list[Fraction]:
+def cauchy_row(n: int, r: int, second: bool = False) -> tuple[Fraction, ...]:
     """Cauchy numbers with order r at 0..n at least, of the first kind or the second."""
     return _order_row("Cauchy", ("cauchy2" if second else "cauchy1",),
                       partial(_cauchy_base, second=second), n, r)
@@ -174,7 +175,7 @@ def cauchy_second(n: int, r: int) -> Fraction:
     return cauchy_row(n, r, True)[n]
 
 
-def bernoulli_row(n: int, r: int) -> list[Fraction]:
+def bernoulli_row(n: int, r: int) -> tuple[Fraction, ...]:
     """Bernoulli numbers of order r at 0..n at least."""
     return _order_row("Bernoulli", ("bernoulli",), _bernoulli_base, n, r)
 
@@ -184,7 +185,7 @@ def bernoulli_order(n: int, r: int) -> Fraction:
     return bernoulli_row(n, r)[n]
 
 
-def frobenius_row(n: int, r: int, lam: Rational) -> list[Fraction]:
+def frobenius_row(n: int, r: int, lam: Rational) -> tuple[Fraction, ...]:
     """Frobenius-Euler numbers of order r at parameter lam != 1, at 0..n at
     least; order 1 from H_n = sum_j (-1)^j j! S2(n, j) / (1 - lam)^j."""
     lam = as_fraction(lam)
@@ -205,8 +206,10 @@ def frobenius_number(n: int, r: int, lam: Rational) -> Fraction:
 def lif_series(k: int, order: int) -> Series:
     """The polylogarithm-factorial series: sum of t^n / (n! (n+1)^k).
 
-    Negative k is allowed; (n+1)^k stays an exact rational.
+    Any int k is allowed, negative too: (n+1)^k stays an exact rational.
     """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"the Lif index k must be an integer, got {k!r}")
     coeffs = [
         Fraction(1, factorial(n)) * Fraction(n + 1) ** -k for n in range(order)
     ]

@@ -22,6 +22,7 @@ from pcmix.families import (
 )
 from pcmix.poly import Poly, X
 from pcmix.series import binomial_pow, exp_neg_series
+from pcmix.special import lif_series
 
 A_SAMPLES = (F(1), F(2), F(-1), F(3, 7), F(-5, 2))
 K_SAMPLES = (-2, -1, 0, 1, 2, 3)
@@ -128,6 +129,20 @@ def test_parameter_validation(monkeypatch):
             with pytest.raises(ValueError, match="must be an integer"):
                 call()
         assert len(families._TABLES) == 2 * warm
+
+
+def test_lif_index_must_be_an_int():
+    # lif_series checks k as the family lookups do, so a bool is not read as
+    # 0 or 1 and a Fraction does not fail later as a float; the check covers
+    # lif_log, the generating-function builders and both mixed pairs.
+    calls = [lambda k: lif_series(k, 4), lambda k: families.lif_log(k, F(2), False, 4),
+             lambda k: families.pc_hat_mixed_series(k, F(2), 4), lambda k: mixed_pair(k, 2),
+             lambda k: mixed_hat_pair(k, 2)]
+    for k in (True, False, F(1, 2), F(2), 2.0):
+        for call in calls:
+            with pytest.raises(ValueError, match="Lif index"):
+                call(k)
+    assert mixed_pair(1, 2).polynomial(2) == pc_mixed(2, 1, 2)
 
 
 @pytest.mark.parametrize("build", [

@@ -123,8 +123,8 @@ def test_t6_tail_series_is_the_printed_e54_tail():
     # sum of (54)/(55) at x + sign, sign = -1 for the second kind.  Hence the
     # derivation form of T6/E60 at n is the printed form of E54 at n - 1 (E61 and
     # E55 likewise), which is why their audit tallies coincide, and why the
-    # checkers read that sum over sign * a, kept by the group, as the
-    # derivation-form tail.
+    # checkers read that sum over sign * a, the tail of the group's recurrence
+    # entry n + 1, as the derivation-form tail.
     for k in (-2, 0, 1, 3):
         for a in (F(1), F(3, 7), F(-5, 2), F(2)):
             group = identities._Group(k, a, 8)
@@ -134,7 +134,7 @@ def test_t6_tail_series_is_the_printed_e54_tail():
                 for n in range(8):
                     tail = identities._monomial(group, n, hat, printed).shifted(sign)
                     assert series.egf_coefficient(n) * (sign * a) == tail, (k, a, hat, n)
-                    assert group.tail(hat, n) * (sign * a) == tail, (k, a, hat, n)
+                    assert group.recurrence(hat)[n + 1][2] * (sign * a) == tail, (k, a, hat, n)
 
 
 def test_stirling_sum_verifiers_beyond_default_degree():
@@ -467,6 +467,35 @@ def test_e54_derivation_side_is_the_sheffer_recurrence(monkeypatch):
                     assert result.rhs == expected, (ident, k, a, n)
                     assert result.lhs == member[hat](n + 1, k, a), (ident, k, a, n)
     assert failing == 16
+
+
+def test_recurrence_tail_reads_no_member(monkeypatch):
+    # Entry n of the recurrence table keeps the printed (54)/(55) tail beside
+    # the member-derived remainder D_n.  With P_2 wrong, every tail must equal
+    # a fault-free group's, while D_2 and D_3, which read P_2, differ.
+    points = list(itertools.product((False, True), (-1, 2), (F(3, 7), F(-5, 2))))
+    clean = {(hat, k, a): identities._Group(k, a, 8).recurrence(hat) for hat, k, a in points}
+    _lower_member_fault(monkeypatch)
+    for hat, k, a in points:
+        faulty = identities._Group(k, a, 8).recurrence(hat)
+        assert [entry[2] for entry in faulty[1:]] == [entry[2] for entry in clean[hat, k, a][1:]]
+        differ = [n for n in range(1, 9) if faulty[n][0] != clean[hat, k, a][n][0]]
+        assert differ == [2, 3], (hat, k, a)
+
+
+def test_published_tables_cannot_be_written():
+    # Every shared table is a tuple, so a caller that writes into a row it was
+    # given fails at once instead of corrupting the checks that read it later.
+    pc_mixed(3, 1, F(2))
+    tables = [special.stirling_rows(12), special.stirling_rows(12, True)[4],
+              special.cauchy_row(12, 1), special.cauchy_row(12, 2, True),
+              special.bernoulli_row(12, 1), special.frobenius_row(12, 2, F(1, 2)),
+              families._TABLES["pc-mixed", 1, F(2)]]
+    for table in tables:
+        with pytest.raises(TypeError):
+            table[2] = table[2]
+    assert verify("T8", 3, k=1, a=2, s=1).equal
+    assert verify("T5", 3, k=1, a=2).equal
 
 
 def test_kept_tables_live_per_group(monkeypatch):

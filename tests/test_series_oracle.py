@@ -7,10 +7,10 @@
   product-form generating functions expanded by ``rs_log``, ``rs_exp`` and
   ``rs_mul``, with Lif_k summed from powers of its argument; pcmix builds
   them through its own series kernel and composition.
-* The printed (54)/(55) closing Stirling sum (``identities._Group.tail``),
-  which T6/E60/E61 read as their derivation-form remainder, against the
-  Theorem 6 remainder series built from the same factors, with the Lif
-  factor differentiated by sympy.
+* The printed (54)/(55) closing Stirling sum (the tail of each
+  ``identities._Group.recurrence`` entry), which T6/E60/E61 read as their
+  derivation-form remainder, against the Theorem 6 remainder series built
+  from the same factors, with the Lif factor differentiated by sympy.
 
 Both sides are exact over Q, so the coefficients must agree one by one.
 """
@@ -146,12 +146,12 @@ def test_families_match_sympy_generating_functions(family, k, a):
 def test_mixed_tail_matches_sympy(hat, k, a):
     # exp(-t) d/dt[Lif_k(+-log(1 + t/a))] (1 + t/a)^(-+x), upper signs for
     # the first kind; the derivative is exact below t^(GF_ORDER - 1).  Its
-    # t^n/n! coefficient is the kept tail at n: the printed (54)/(55) closing
-    # sum at x + sign over sign a, sign = -1 for hat.
+    # t^n/n! coefficient is the tail of recurrence entry n + 1: the printed
+    # (54)/(55) closing sum of degree n at x + sign over sign a, sign = -1 for hat.
     log, binomial = log_and_binomial(a)
     lif_prime = lif(k, -log if hat else log).diff(gt)
     power = binomial if hat else negate_x(binomial)
     expected = gf_members((rs_exp(-gt, gt, GF_ORDER), lif_prime, power))
     group = _Group(k, a, GF_ORDER - 1)
     for n in range(GF_ORDER - 1):
-        assert list(group.tail(hat, n).coeffs) == expected[n], (hat, k, a, n)
+        assert list(group.recurrence(hat)[n + 1][2].coeffs) == expected[n], (hat, k, a, n)

@@ -119,9 +119,9 @@ def test_stirling_rows_match_sympy():
     first, second = special.stirling_rows(n_max), special.stirling_rows(n_max, second=True)
     for n in range(n_max + 1):
         ks = range(n + 1)
-        assert first[n] == [numbers.stirling(n, k, kind=1, signed=True) for k in ks], n
+        assert first[n] == tuple(numbers.stirling(n, k, kind=1, signed=True) for k in ks), n
         assert [abs(s) for s in first[n]] == [numbers.stirling(n, k, kind=1) for k in ks], n
-        assert second[n] == [numbers.stirling(n, k, kind=2) for k in ks], n
+        assert second[n] == tuple(numbers.stirling(n, k, kind=2) for k in ks), n
 
 
 def test_cauchy_first_values():
@@ -195,6 +195,18 @@ def test_bernoulli_orders_follow_norlund_recurrence():
         for m in range(1, 31):
             expected = (1 - F(m, k)) * rows[k][m] - m * rows[k][m - 1]
             assert rows[k + 1][m] == expected, (k, m)
+
+
+def test_t5_weights_are_stirling_numbers():
+    # Nörlund (1924): B_(n-1)^(n)(x) = (x-1)(x-2)...(x-n+1) = (x)_n / x, whose
+    # Appell coefficients give C(n-1, r) B_r^(n) = S1(n, n-r) for r < n: the
+    # comb(n - 1, r) * b weights of T5/E48.  The Stirling side is read from its
+    # triangle, apart from Miller's recurrence and the recurrence across orders.
+    for n in range(1, 31):
+        row = bernoulli_row(n - 1, n)
+        assert [comb(n - 1, r) * row[r] for r in range(n)] == [
+            stirling1(n, n - r) for r in range(n)
+        ], n
 
 
 def test_frobenius_number_against_series():
@@ -382,7 +394,7 @@ def test_stirling_table_concurrent_growth(monkeypatch):
         assert _race(worker) == []
         assert all(value == reference[n][k] for n, k, value in seen)
         rows = special._STIRLING[True]
-        assert rows == reference[: len(rows)]
+        assert rows == tuple(map(tuple, reference[: len(rows)]))
         # No thread may replace the table with a shorter copy.
         assert len(rows) > max(n for n, _, _ in seen)
 
@@ -403,7 +415,7 @@ def test_factorial_table_concurrent_growth(monkeypatch):
         assert _race(worker) == []
         assert all(value == reference[step][n] for step, n, value in seen)
         rows = special._STIRLING[False]
-        assert rows == [list(p.nums) for p in reference[-1][: len(rows)]]
+        assert rows == tuple(tuple(p.nums) for p in reference[-1][: len(rows)])
         # No thread may replace the table with a shorter copy.
         assert len(rows) > max(n for _, n, _ in seen)
 
